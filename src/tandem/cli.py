@@ -31,6 +31,7 @@ from .harness import (
     write_failures,
     write_run_artifacts,
 )
+from .errors import TandemError
 from .metrics import GAUSSIAN, PATCH_DELETE
 from .nn import load_mlp
 from .surrogate import explain, init_surrogate, load_surrogate
@@ -151,19 +152,23 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_gnf(args: argparse.Namespace) -> int:
-    descriptor, base_dir = load_dataset_descriptor(args.dataset)
-    model = load_mlp(args.model)
-    dataset = resolve_dataset(descriptor, args.seed, base_dir)
-    settings = GnfSettings(
-        points=args.points, count=args.count, sigma2=args.sigma2,
-        kind=args.kind, local=args.surrogate is None,
-    )
-    if args.surrogate is not None:
-        surrogate, _ = load_surrogate(args.surrogate)
-    else:
-        surrogate = init_surrogate(dataset.n_features)
-    config = TrainConfig(seed=args.seed)
-    value = evaluate_gnf(model, surrogate, args.seed, dataset, settings, config)
+    try:
+        descriptor, base_dir = load_dataset_descriptor(args.dataset)
+        model = load_mlp(args.model)
+        dataset = resolve_dataset(descriptor, args.seed, base_dir)
+        settings = GnfSettings(
+            points=args.points, count=args.count, sigma2=args.sigma2,
+            kind=args.kind, local=args.surrogate is None,
+        )
+        if args.surrogate is not None:
+            surrogate, _ = load_surrogate(args.surrogate)
+        else:
+            surrogate = init_surrogate(dataset.n_features)
+        config = TrainConfig(seed=args.seed)
+        value = evaluate_gnf(model, surrogate, args.seed, dataset, settings, config)
+    except (TandemError, ValueError) as exc:
+        print(f"gnf failed: {exc}", file=sys.stderr)
+        return 1
     mode = "global" if args.surrogate is not None else "local"
     print(f"gnf={value:.6g} mode={mode} points={settings.points} "
           f"count={settings.count}")

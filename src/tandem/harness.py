@@ -31,6 +31,7 @@ from .data import (
 from .errors import DataError
 from .metrics import (
     GAUSSIAN,
+    PATCH_DELETE,
     NeighborhoodSpec,
     global_surrogate_provider,
     gnf,
@@ -72,6 +73,16 @@ class GnfSettings:
     patch_size: int = 4
     num_patches: int = 3
     local: bool = False
+
+    def __post_init__(self) -> None:
+        if self.points < 1 or self.count < 1:
+            raise DataError("gnf points and count must be >= 1")
+        if not self.sigma2 > 0:
+            raise DataError("gnf sigma2 must be positive")
+        if self.kind not in (GAUSSIAN, PATCH_DELETE):
+            raise DataError(f"unknown gnf neighborhood kind {self.kind!r}")
+        if self.patch_size < 1 or self.num_patches < 1:
+            raise DataError("gnf patch_size and num_patches must be >= 1")
 
 
 @dataclass(frozen=True)

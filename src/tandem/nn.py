@@ -163,15 +163,52 @@ def init_mlp(
     return MlpModel(tuple(layers), output_kind)
 
 
-def _forward_with_caches(model: MlpModel, X: np.ndarray):
+def _layer_params(model: MlpModel) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    return [(layer.weight, layer.bias, layer.activation) for layer in model.layers]
+
+
+def _param_views(model: MlpModel, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    """(weight, bias, activation) per layer of ``model``, as views into a
+    flat vector in canonical order; writing to ``theta`` moves the layers."""
+    params = []
+    pos = 0
+    for layer in model.layers:
+        w_end = pos + layer.weight.size
+        b_end = w_end + layer.bias.size
+        params.append((theta[pos:w_end].reshape(layer.weight.shape),
+                       theta[w_end:b_end], layer.activation))
+        pos = b_end
+    return params
+
+
+def _forward_cached(params, X: np.ndarray):
+    """Outputs, shape (N,), and the per-layer (input, pre-activation, output)
+    caches that :func:`_backward_cached` starts from.  ``params`` holds one
+    (weight, bias, activation) triple per layer; nothing is validated."""
     a = X
     caches = []
-    for layer in model.layers:
-        z = a @ layer.weight.T + layer.bias
-        a_out = _activate(z, layer.activation)
+    for weight, bias, activation in params:
+        z = a @ weight.T + bias
+        a_out = _activate(z, activation)
         caches.append((a, z, a_out))
         a = a_out
     return a[:, 0], caches
+
+
+def _backward_cached(params, caches, upstream: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product from a cached forward, in canonical flat order."""
+    grads = [np.empty(0)] * len(params)
+    delta = upstream[:, None]
+    for k in range(len(params) - 1, -1, -1):
+        weight, _, activation = params[k]
+        a_prev, z, a_out = caches[k]
+        delta = delta * _activation_grad(z, a_out, activation)
+        dW = delta.T @ a_prev
+        db = delta.sum(axis=0)
+        grads[k] = np.concatenate([dW.ravel(), db])
+        if k > 0:
+            delta = delta @ weight
+    return np.concatenate(grads)
 
 
 def forward_batch(model: MlpModel, X) -> np.ndarray:
@@ -181,7 +218,7 @@ def forward_batch(model: MlpModel, X) -> np.ndarray:
         raise ShapeError(
             f"batch has {X.shape[1]} features, model expects {model.input_dim}"
         )
-    out, _ = _forward_with_caches(model, X)
+    out, _ = _forward_cached(_layer_params(model), X)
     return out
 
 
@@ -206,20 +243,9 @@ def mlp_backward(model: MlpModel, X, upstream) -> np.ndarray:
         raise ShapeError(
             f"batch has {X.shape[1]} features, model expects {model.input_dim}"
         )
-    _, caches = _forward_with_caches(model, X)
-
-    grads = [np.empty(0)] * len(model.layers)
-    delta = upstream[:, None]
-    for k in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[k]
-        a_prev, z, a_out = caches[k]
-        delta = delta * _activation_grad(z, a_out, layer.activation)
-        dW = delta.T @ a_prev
-        db = delta.sum(axis=0)
-        grads[k] = np.concatenate([dW.ravel(), db])
-        if k > 0:
-            delta = delta @ layer.weight
-    return np.concatenate(grads)
+    params = _layer_params(model)
+    _, caches = _forward_cached(params, X)
+    return _backward_cached(params, caches, upstream)
 
 
 def param_count(model: MlpModel) -> int:
@@ -242,15 +268,10 @@ def unflatten_params(model: MlpModel, vector) -> MlpModel:
         raise ShapeError(
             f"vector length {vector.shape[0]} != parameter count {param_count(model)}"
         )
-    layers = []
-    pos = 0
-    for layer in model.layers:
-        w_n = layer.weight.size
-        w = vector[pos : pos + w_n].reshape(layer.weight.shape).copy()
-        pos += w_n
-        b = vector[pos : pos + layer.bias.size].copy()
-        pos += layer.bias.size
-        layers.append(Layer(w, b, layer.activation))
+    layers = [
+        Layer(weight.copy(), bias.copy(), activation)
+        for weight, bias, activation in _param_views(model, vector)
+    ]
     return MlpModel(tuple(layers), model.output_kind)
 
 

@@ -14,7 +14,6 @@ rows when the dataset has no test rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,13 +39,14 @@ from .nn import (
     BINARY_PROBABILITY,
     MlpModel,
     REGRESSION_SCALAR,
+    _backward_cached,
+    _forward_cached,
+    _param_views,
     adam_init,
     adam_step,
     flatten_params,
     forward_batch,
     init_mlp,
-    mlp_backward,
-    param_count,
     sigmoid,
     unflatten_params,
 )
@@ -72,8 +72,6 @@ METHODS = (MOO, STL, UNI, GS, RND, LINEAR, JSEP, JDIST)
 
 STOP_STATIONARY = "stationary"
 STOP_BUDGET = "budget"
-
-AlphaSchedule = Callable[[int, np.random.Generator], float]
 
 
 @dataclass(frozen=True)
@@ -170,23 +168,6 @@ def _eval_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _grad_pred(model: MlpModel, X: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
-    out = forward_batch(model, X)
-    return mlp_backward(model, X, upstream_derivative(out, y, kind))
-
-
-def _grad_pf_theta(model: MlpModel, g: LinearSurrogate, X: np.ndarray) -> np.ndarray:
-    f_out = forward_batch(model, X)
-    g_out = predict_batch(g, X)
-    return mlp_backward(model, X, upstream_derivative(f_out, g_out, POINT_FIDELITY))
-
-
-def _grad_pf_phi(model: MlpModel, g: LinearSurrogate, X: np.ndarray) -> np.ndarray:
-    # The black-box output is the fitting target here, never differentiated.
-    residuals = forward_batch(model, X) - predict_batch(g, X)
-    return surrogate_grad(g, X, residuals)
-
-
 def _batches(rng: np.random.Generator, n: int, batch_size: int):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -208,52 +189,99 @@ def _final_metrics(
     return metric, global_fidelity(model, g, X)
 
 
-DirectionFn = Callable[
-    [MlpModel, LinearSurrogate, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int,
-     np.random.Generator],
-    tuple[np.ndarray, float],
-]
-EpochPairFn = Callable[
-    [MlpModel, LinearSurrogate, np.ndarray, np.ndarray],
-    tuple[np.ndarray, np.ndarray],
-]
+MIN_NORM = "min-norm"
+CONSTANT = "constant"
+UNIFORM = "uniform"
+PRED_ONLY = "pred-only"
+
+
+@dataclass(frozen=True)
+class _JointMethod:
+    """One entry of the method table.
+
+    ``weight`` is the rule for the weight on the predictive gradient:
+    MIN_NORM solves for it each step, CONSTANT uses ``alpha``, UNIFORM
+    draws it fresh each step, PRED_ONLY follows the predictive gradient
+    alone.  With a ``teacher``, ``dist_weight`` times the gradient of the
+    distillation loss toward the teacher's outputs is added to the
+    predictive gradient.  Without ``update_phi`` the surrogate stays at
+    zero and the run skips the stationarity check, running to budget.
+    """
+
+    weight: str
+    alpha: float = 0.5
+    update_phi: bool = True
+    teacher: MlpModel | None = None
+    dist_weight: float = 1.0
+
+
+_TABLE = {
+    MOO: _JointMethod(MIN_NORM),
+    UNI: _JointMethod(CONSTANT, alpha=0.5),
+    RND: _JointMethod(UNIFORM),
+    JSEP: _JointMethod(PRED_ONLY),
+    STL: _JointMethod(PRED_ONLY, update_phi=False),
+}
+
+
+def _direction(method: _JointMethod, g_first: np.ndarray, g_pf: np.ndarray,
+               rng_alpha: np.random.Generator) -> tuple[np.ndarray, float]:
+    if method.weight == PRED_ONLY:
+        return g_first, 1.0
+    if method.weight == MIN_NORM:
+        alpha = solve_alpha(g_first, g_pf).alpha
+    elif method.weight == UNIFORM:
+        alpha = float(rng_alpha.uniform(0.0, 1.0))
+    else:
+        alpha = method.alpha
+    return combine_direction(alpha, g_first, g_pf), alpha
 
 
 def _joint_loop(
     dataset: Dataset,
     config: TrainConfig,
     method_tag: str,
-    direction: DirectionFn,
-    epoch_pair: EpochPairFn | None = None,
+    method: _JointMethod,
     init_model: MlpModel | None = None,
-    update_phi: bool = True,
-    stop_on_stationary: bool = True,
 ) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
     """Shared epoch/step loop for all joint training methods.
 
-    Per step: refine the surrogate (unless disabled), compute predictive and
-    fidelity gradients on the batch, ask ``direction`` for the update, take
-    one Adam step.  Per epoch: record full-batch losses and stop if the
-    full-batch gradient pair from ``epoch_pair`` is Pareto stationary.
+    The network lives in one flat vector ``theta``; the layers are views
+    into it.  Per step: one forward pass over the batch, whose output is the
+    surrogate's fitting target for every inner step and whose caches feed
+    the predictive and fidelity backward passes; ``method`` combines the two
+    gradients and one Adam step moves ``theta``.  Per epoch: record
+    full-batch losses and, when the surrogate is trained, stop if the
+    full-batch gradient pair from that same forward is Pareto stationary.
     """
     X, y = subset(dataset, TRAIN)
-    n = X.shape[0]
     kind = _pred_kind(dataset)
     if init_model is None:
-        model = init_mlp(
+        init_model = init_mlp(
             dataset.n_features, config.hidden, _output_kind(dataset),
             rng_for(config.seed, "init-theta"),
         )
-    else:
-        model = init_model
+    theta = flatten_params(init_model)
+    params = _param_views(init_model, theta)
     g = init_surrogate(dataset.n_features)
-    theta_state = adam_init(param_count(model))
+    theta_state = adam_init(theta.size)
     phi_state = adam_init(dataset.n_features + 1)
     rng_batch = rng_for(config.seed, "batch")
     rng_alpha = rng_for(config.seed, "alpha")
-    if epoch_pair is None:
-        def epoch_pair(m, s, Xf, yf):
-            return _grad_pred(m, Xf, yf, kind), _grad_pf_theta(m, s, Xf)
+
+    def gradients(Xr, yr, f_out, caches, g_out):
+        """Predictive gradient, the same plus any distillation term, and
+        fidelity gradient, all from one cached forward."""
+        g_pred = _backward_cached(params, caches, upstream_derivative(f_out, yr, kind))
+        g_first = g_pred
+        if method.teacher is not None:
+            t_out = forward_batch(method.teacher, Xr)
+            g_dist = _backward_cached(
+                params, caches, upstream_derivative(f_out, t_out, DISTILL))
+            g_first = g_pred + method.dist_weight * g_dist
+        g_pf = _backward_cached(
+            params, caches, upstream_derivative(f_out, g_out, POINT_FIDELITY))
+        return g_pred, g_first, g_pf
 
     pred_hist: list[float] = []
     pf_hist: list[float] = []
@@ -261,33 +289,31 @@ def _joint_loop(
     min_dot_pred = np.inf
     min_dot_pf = np.inf
     stopped = STOP_BUDGET
-    step = 0
-    epochs_run = 0
 
     for epoch in range(config.max_epochs):
         step_alphas: list[float] = []
-        for batch in _batches(rng_batch, n, config.batch_size):
+        for batch in _batches(rng_batch, X.shape[0], config.batch_size):
             Xb, yb = X[batch], y[batch]
-            if update_phi:
+            f_out, caches = _forward_cached(params, Xb)
+            if method.update_phi:
                 for _ in range(config.inner_steps):
-                    phi_grad = _grad_pf_phi(model, g, Xb)
+                    # The black-box output is the fitting target, never differentiated.
+                    phi_grad = surrogate_grad(g, Xb, f_out - predict_batch(g, Xb))
                     new_phi, phi_state = adam_step(
                         surrogate_params(g), phi_grad, phi_state, config.lr_phi
                     )
                     g = surrogate_from_params(new_phi)
-            g_pred = _grad_pred(model, Xb, yb, kind)
-            g_pf = _grad_pf_theta(model, g, Xb)
-            d, alpha = direction(model, g, Xb, yb, g_pred, g_pf, step, rng_alpha)
+            g_pred, g_first, g_pf = gradients(Xb, yb, f_out, caches, predict_batch(g, Xb))
+            d, alpha = _direction(method, g_first, g_pf, rng_alpha)
             min_dot_pred = min(min_dot_pred, float(d @ g_pred))
             min_dot_pf = min(min_dot_pf, float(d @ g_pf))
-            new_theta, theta_state = adam_step(
-                flatten_params(model), d, theta_state, config.lr_theta
-            )
-            model = unflatten_params(model, new_theta)
+            new_theta, theta_state = adam_step(theta, d, theta_state, config.lr_theta)
+            theta[:] = new_theta
+            if not np.isfinite(theta).all():
+                raise NumericError("layer parameters must be finite")
             step_alphas.append(alpha)
-            step += 1
 
-        out = forward_batch(model, X)
+        out, caches = _forward_cached(params, X)
         g_out = predict_batch(g, X)
         lp = loss_pred(out, y, kind)
         lpf = loss_point_fidelity(out, g_out)
@@ -296,13 +322,13 @@ def _joint_loop(
         pred_hist.append(lp)
         pf_hist.append(lpf)
         alpha_hist.append(float(np.mean(step_alphas)))
-        epochs_run = epoch + 1
-        if stop_on_stationary:
-            ga, gb = epoch_pair(model, g, X, y)
+        if method.update_phi:
+            _, ga, gb = gradients(X, y, out, caches, g_out)
             if is_pareto_stationary(ga, gb, config.stationarity_tol):
                 stopped = STOP_STATIONARY
                 break
 
+    model = unflatten_params(init_model, theta)
     metric, gf = _final_metrics(model, g, dataset)
     report = TrainReport(
         method=method_tag,
@@ -310,7 +336,7 @@ def _joint_loop(
         loss_pred_history=tuple(pred_hist),
         loss_pf_history=tuple(pf_hist),
         alpha_history=tuple(alpha_hist),
-        epochs_run=epochs_run,
+        epochs_run=len(pred_hist),
         stopped_reason=stopped,
         task_metric=metric,
         gf=gf,
@@ -331,57 +357,27 @@ def train_joint_moo(
     which guarantees it is a common descent direction for both the
     predictive and fidelity objectives until Pareto stationarity.
     """
-
-    def direction(model, g, Xb, yb, g_pred, g_pf, step, rng_alpha):
-        alpha = solve_alpha(g_pred, g_pf).alpha
-        return combine_direction(alpha, g_pred, g_pf), alpha
-
-    return _joint_loop(dataset, config, MOO, direction, init_model=init_model)
-
-
-def constant_alpha(alpha: float) -> AlphaSchedule:
-    """Schedule returning the same weight at every step."""
-
-    def schedule(step: int, rng: np.random.Generator) -> float:
-        return alpha
-
-    return schedule
-
-
-def random_alpha(step: int, rng: np.random.Generator) -> float:
-    """Fresh uniform weight on each step."""
-    return float(rng.uniform(0.0, 1.0))
+    return _joint_loop(dataset, config, MOO, _TABLE[MOO], init_model=init_model)
 
 
 def train_weighted(
     dataset: Dataset,
     config: TrainConfig,
-    alpha_schedule: AlphaSchedule | None = None,
     init_model: MlpModel | None = None,
 ) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
-    """Scalarized joint training with a fixed or sampled weight schedule.
+    """Scalarized joint training with a fixed or sampled weight.
 
-    Without an explicit schedule the method tag picks one: UNI uses the
-    constant 0.5, GS the configured alpha, RND a fresh uniform draw per
-    step.  The loop is otherwise identical to the min-norm trainer.
+    The method tag picks the weight: UNI uses the constant 0.5, GS the
+    configured alpha, RND a fresh uniform draw per step.  The loop is
+    otherwise identical to the min-norm trainer.
     """
-    if alpha_schedule is None:
-        if config.method == UNI:
-            alpha_schedule = constant_alpha(0.5)
-        elif config.method == GS:
-            alpha_schedule = constant_alpha(config.alpha)
-        elif config.method == RND:
-            alpha_schedule = random_alpha
-        else:
-            raise ValueError(f"no default schedule for method {config.method!r}")
-
-    def direction(model, g, Xb, yb, g_pred, g_pf, step, rng_alpha):
-        alpha = alpha_schedule(step, rng_alpha)
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"schedule produced alpha {alpha} outside [0, 1]")
-        return combine_direction(alpha, g_pred, g_pf), alpha
-
-    return _joint_loop(dataset, config, config.method, direction, init_model=init_model)
+    if config.method == GS:
+        method = _JointMethod(CONSTANT, alpha=config.alpha)
+    elif config.method in (UNI, RND):
+        method = _TABLE[config.method]
+    else:
+        raise ValueError(f"no weight rule for method {config.method!r}")
+    return _joint_loop(dataset, config, config.method, method, init_model=init_model)
 
 
 def train_jsep(
@@ -395,11 +391,7 @@ def train_jsep(
     matches predictive-only training step for step; the surrogate chases it
     with the usual fidelity updates.
     """
-
-    def direction(model, g, Xb, yb, g_pred, g_pf, step, rng_alpha):
-        return g_pred, 1.0
-
-    return _joint_loop(dataset, config, JSEP, direction, init_model=init_model)
+    return _joint_loop(dataset, config, JSEP, _TABLE[JSEP], init_model=init_model)
 
 
 def _fit_phi(
@@ -444,14 +436,7 @@ def train_stl(
     weight 1.0, phase-2 epochs with weight 0.0; ``stopped_reason`` reports
     the phase-2 outcome, with "stationary" meaning the tolerance was met.
     """
-
-    def direction(model, g, Xb, yb, g_pred, g_pf, step, rng_alpha):
-        return g_pred, 1.0
-
-    model, _, phase1 = _joint_loop(
-        dataset, config, STL, direction,
-        update_phi=False, stop_on_stationary=False,
-    )
+    model, _, phase1 = _joint_loop(dataset, config, STL, _TABLE[STL])
     X, y = subset(dataset, TRAIN)
     g, pf_hist, stopped = _fit_phi(model, X, config)
     final_pred = loss_pred(forward_batch(model, X), y, _pred_kind(dataset))
@@ -474,14 +459,7 @@ def train_stl(
 
 def pretrain_theta(dataset: Dataset, config: TrainConfig) -> MlpModel:
     """Predictive-only training of the black-box (no surrogate fitting)."""
-
-    def direction(model, g, Xb, yb, g_pred, g_pf, step, rng_alpha):
-        return g_pred, 1.0
-
-    model, _, _ = _joint_loop(
-        dataset, config, STL, direction,
-        update_phi=False, stop_on_stationary=False,
-    )
+    model, _, _ = _joint_loop(dataset, config, STL, _TABLE[STL])
     return model
 
 
@@ -500,25 +478,8 @@ def train_jdist(
     """
     if dist_weight < 0:
         raise ValueError("dist_weight must be nonnegative")
-    kind = _pred_kind(dataset)
-
-    def dist_grad(model: MlpModel, Xb: np.ndarray) -> np.ndarray:
-        s_out = forward_batch(model, Xb)
-        t_out = forward_batch(teacher, Xb)
-        return mlp_backward(model, Xb, upstream_derivative(s_out, t_out, DISTILL))
-
-    def direction(model, g, Xb, yb, g_pred, g_pf, step, rng_alpha):
-        d = 0.5 * (g_pred + dist_weight * dist_grad(model, Xb)) + 0.5 * g_pf
-        return d, 0.5
-
-    def epoch_pair(model, g, Xf, yf):
-        ga = _grad_pred(model, Xf, yf, kind) + dist_weight * dist_grad(model, Xf)
-        return ga, _grad_pf_theta(model, g, Xf)
-
-    return _joint_loop(
-        dataset, config, JDIST, direction,
-        epoch_pair=epoch_pair, init_model=teacher,
-    )
+    method = _JointMethod(CONSTANT, alpha=0.5, teacher=teacher, dist_weight=dist_weight)
+    return _joint_loop(dataset, config, JDIST, method, init_model=teacher)
 
 
 def train_linear(dataset: Dataset, config: TrainConfig) -> tuple[LinearSurrogate, TrainReport]:

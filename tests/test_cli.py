@@ -172,6 +172,28 @@ def test_gnf_subcommand_local_and_global(tmp_path, descriptor_path, capsys):
     assert "mode=global" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra, descriptor, message", [
+    ([], dict(DESCRIPTOR, d=5), "batch has 5 features, model expects 3"),
+    (["--kind", "patch_delete"], DESCRIPTOR, "image_dims"),
+    (["--points", "0"], DESCRIPTOR, "points"),
+])
+def test_gnf_bad_input_reports_failure(tmp_path, capsys, extra, descriptor, message):
+    dataset = resolve_dataset(DESCRIPTOR, seed=0)
+    model = pretrain_theta(dataset, TrainConfig(
+        method="STL", seed=0, max_epochs=1, batch_size=64, hidden=(4,),
+    ))
+    model_path = tmp_path / "model.json"
+    save_mlp(model, str(model_path))
+    descriptor_path = tmp_path / "other.json"
+    descriptor_path.write_text(json.dumps(descriptor))
+
+    code = main(["gnf", "--dataset", str(descriptor_path), "--model",
+                 str(model_path), "--points", "3", "--count", "4", *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gnf failed: ") and message in err
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])

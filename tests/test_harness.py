@@ -421,3 +421,15 @@ def test_gnf_settings_defaults():
 def test_experiment_spec_validates_on_construction():
     with pytest.raises(DataError):
         ExperimentSpec(dataset={"kind": "synthetic"}, methods=(), seeds=(0,))
+
+
+@pytest.mark.parametrize("bad", [
+    {"points": 0}, {"count": 0}, {"sigma2": 0.0}, {"sigma2": -0.1},
+    {"kind": "blur"}, {"patch_size": 0}, {"num_patches": 0},
+])
+def test_gnf_settings_reject_out_of_range_values(bad):
+    with pytest.raises(DataError):
+        GnfSettings(**bad)
+    with pytest.raises(DataError):
+        spec_from_dict({"dataset": dict(SYNTH), "methods": [{"method": MOO}],
+                        "seeds": [0], "gnf": bad})

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_diff
 from tandem.errors import NumericError, ShapeError
@@ -29,6 +31,7 @@ from tandem.nn import (
     sigmoid,
     unflatten_params,
 )
+from tandem.nn import _backward_cached, _forward_cached, _param_views
 from tandem.seeding import rng_for
 
 
@@ -231,3 +234,28 @@ def test_model_dict_rejects_unknown_format():
     record["format"] = "something-else"
     with pytest.raises(ValueError):
         mlp_from_dict(record)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    input_dim=st.integers(1, 12),
+    hidden=st.lists(st.integers(1, 24), min_size=0, max_size=3),
+    rows=st.integers(1, 200),
+    output_kind=st.sampled_from([REGRESSION_SCALAR, BINARY_PROBABILITY]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_helpers_on_flat_views_equal_public_passes(
+    input_dim, hidden, rows, output_kind, seed
+):
+    rng = np.random.default_rng(seed)
+    template = init_mlp(input_dim, tuple(hidden), output_kind, rng)
+    theta = flatten_params(template) + 0.1 * rng.standard_normal(param_count(template))
+    model = unflatten_params(template, theta)
+    X = rng.standard_normal((rows, input_dim))
+    upstream = rng.standard_normal(rows) / rows
+
+    params = _param_views(template, theta)
+    out, caches = _forward_cached(params, X)
+    assert np.array_equal(out, forward_batch(model, X))
+    assert np.array_equal(_backward_cached(params, caches, upstream),
+                          mlp_backward(model, X, upstream))

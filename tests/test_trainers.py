@@ -7,16 +7,39 @@ import pytest
 
 import tandem
 from tandem.data import CLASSIFICATION, REGRESSION, TEST, TRAIN, Dataset, subset
+from tandem.losses import (
+    BCE,
+    DISTILL,
+    MSE,
+    POINT_FIDELITY,
+    loss_point_fidelity,
+    loss_pred,
+    upstream_derivative,
+)
+from tandem.moo import combine_direction, is_pareto_stationary, solve_alpha
 from tandem.nn import (
+    BINARY_PROBABILITY,
     IDENTITY,
     REGRESSION_SCALAR,
     Layer,
     MlpModel,
+    adam_init,
+    adam_step,
     flatten_params,
     forward_batch,
+    init_mlp,
+    mlp_backward,
+    param_count,
+    unflatten_params,
 )
 from tandem.seeding import rng_for
-from tandem.surrogate import predict_batch
+from tandem.surrogate import (
+    init_surrogate,
+    predict_batch,
+    surrogate_from_params,
+    surrogate_grad,
+    surrogate_params,
+)
 from tandem.trainers import (
     GS,
     JDIST,
@@ -323,6 +346,153 @@ def test_distillation_is_deterministic():
     _, _, rep_a = train_jdist(ds, cfg, teacher)
     _, _, rep_b = train_jdist(ds, cfg, teacher)
     assert report_to_dict(rep_a) == report_to_dict(rep_b)
+
+
+# -- loop equivalence -----------------------------------------------------------
+
+
+def reference_joint_loop(dataset, config, rule, init_model=None, teacher=None,
+                         update_phi=True):
+    """The joint loop written with the public per-call API only.
+
+    Every gradient is its own validated forward and backward pass, and the
+    model is rebuilt from its flat parameters after each Adam step.
+    ``rule`` is "min-norm", "uniform", "pred-only" or a constant weight;
+    a ``teacher`` adds its unit-weight distillation gradient at weight 0.5.
+    """
+    X, y = subset(dataset, TRAIN)
+    kind = BCE if dataset.task == CLASSIFICATION else MSE
+    out_kind = (BINARY_PROBABILITY if dataset.task == CLASSIFICATION
+                else REGRESSION_SCALAR)
+    model = init_model or init_mlp(dataset.n_features, config.hidden, out_kind,
+                                   rng_for(config.seed, "init-theta"))
+    g = init_surrogate(dataset.n_features)
+    theta_state = adam_init(param_count(model))
+    phi_state = adam_init(dataset.n_features + 1)
+    rng_batch = rng_for(config.seed, "batch")
+    rng_alpha = rng_for(config.seed, "alpha")
+
+    def grad(m, Xr, targets, loss):
+        return mlp_backward(m, Xr, upstream_derivative(forward_batch(m, Xr), targets, loss))
+
+    def grad_first(m, Xr, yr):
+        first = grad(m, Xr, yr, kind)
+        if teacher is not None:
+            first = first + 1.0 * grad(m, Xr, forward_batch(teacher, Xr), DISTILL)
+        return first
+
+    pred_hist, pf_hist, alpha_hist = [], [], []
+    min_dot_pred = min_dot_pf = np.inf
+    stopped = STOP_BUDGET
+    for _ in range(config.max_epochs):
+        alphas = []
+        order = rng_batch.permutation(X.shape[0])
+        for start in range(0, X.shape[0], config.batch_size):
+            batch = order[start:start + config.batch_size]
+            Xb, yb = X[batch], y[batch]
+            if update_phi:
+                for _ in range(config.inner_steps):
+                    residuals = forward_batch(model, Xb) - predict_batch(g, Xb)
+                    phi, phi_state = adam_step(surrogate_params(g),
+                                               surrogate_grad(g, Xb, residuals),
+                                               phi_state, config.lr_phi)
+                    g = surrogate_from_params(phi)
+            g_pred = grad(model, Xb, yb, kind)
+            g_pf = grad(model, Xb, predict_batch(g, Xb), POINT_FIDELITY)
+            if teacher is not None:
+                d = 0.5 * grad_first(model, Xb, yb) + 0.5 * g_pf
+                alpha = 0.5
+            elif rule == "pred-only":
+                d, alpha = g_pred, 1.0
+            else:
+                if rule == "min-norm":
+                    alpha = solve_alpha(g_pred, g_pf).alpha
+                elif rule == "uniform":
+                    alpha = float(rng_alpha.uniform(0.0, 1.0))
+                else:
+                    alpha = rule
+                d = combine_direction(alpha, g_pred, g_pf)
+            min_dot_pred = min(min_dot_pred, float(d @ g_pred))
+            min_dot_pf = min(min_dot_pf, float(d @ g_pf))
+            theta, theta_state = adam_step(flatten_params(model), d, theta_state,
+                                           config.lr_theta)
+            model = unflatten_params(model, theta)
+            alphas.append(alpha)
+        out = forward_batch(model, X)
+        pred_hist.append(loss_pred(out, y, kind))
+        pf_hist.append(loss_point_fidelity(out, predict_batch(g, X)))
+        alpha_hist.append(float(np.mean(alphas)))
+        if update_phi and is_pareto_stationary(
+            grad_first(model, X, y), grad(model, X, predict_batch(g, X), POINT_FIDELITY),
+            config.stationarity_tol,
+        ):
+            stopped = STOP_STATIONARY
+            break
+    return model, g, dict(
+        loss_pred_history=tuple(pred_hist), loss_pf_history=tuple(pf_hist),
+        alpha_history=tuple(alpha_hist), epochs_run=len(pred_hist),
+        stopped_reason=stopped, min_dot_pred=float(min_dot_pred),
+        min_dot_pf=float(min_dot_pf),
+    )
+
+
+def assert_same_run(ref, got):
+    ref_model, ref_g, ref_report = ref
+    model, g, report = got
+    assert np.array_equal(flatten_params(model), flatten_params(ref_model))
+    assert np.array_equal(surrogate_params(g), surrogate_params(ref_g))
+    for field, value in ref_report.items():
+        assert getattr(report, field) == value, field
+
+
+LOOP = dict(max_epochs=3, batch_size=64, hidden=(16, 8), lr_theta=3e-3, lr_phi=3e-3)
+
+
+@pytest.mark.parametrize("data", ["classification", "regression"])
+@pytest.mark.parametrize("method, rule, extra", [
+    (MOO, "min-norm", {}),
+    (MOO, "min-norm", {"inner_steps": 2}),
+    (MOO, "min-norm", {"stationarity_tol": 10.0}),
+    (GS, 0.3, {"alpha": 0.3}),
+    (RND, "uniform", {}),
+    (JSEP, "pred-only", {}),
+])
+def test_joint_loop_matches_per_call_reference(data, method, rule, extra):
+    ds = small_classification_dataset() if data == "classification" else (
+        linear_regression_dataset())
+    cfg = TrainConfig(method=method, seed=4, **LOOP, **extra)
+    ref = reference_joint_loop(ds, cfg, rule)
+    if method == MOO:
+        got = train_joint_moo(ds, cfg)
+    elif method == JSEP:
+        got = train_jsep(ds, cfg)
+    else:
+        got = train_weighted(ds, cfg)
+    assert_same_run(ref, got)
+    if "stationarity_tol" in extra:
+        assert got[2].stopped_reason == STOP_STATIONARY
+
+
+@pytest.mark.parametrize("data", ["classification", "regression"])
+def test_predictive_only_and_distillation_loops_match_reference(data):
+    ds = small_classification_dataset() if data == "classification" else (
+        linear_regression_dataset())
+    cfg = TrainConfig(method=STL, seed=9, **LOOP)
+    ref_teacher, _, ref_phase1 = reference_joint_loop(ds, cfg, "pred-only",
+                                                      update_phi=False)
+    teacher = pretrain_theta(ds, cfg)
+    assert np.array_equal(flatten_params(teacher), flatten_params(ref_teacher))
+    _, _, stl = train_stl(ds, cfg)
+    phase1 = ref_phase1["epochs_run"]
+    assert stl.loss_pred_history[:phase1] == ref_phase1["loss_pred_history"]
+    assert stl.loss_pf_history[:phase1] == ref_phase1["loss_pf_history"]
+    assert stl.min_dot_pred == ref_phase1["min_dot_pred"]
+    assert stl.min_dot_pf == ref_phase1["min_dot_pf"]
+
+    jdist_cfg = TrainConfig(method=JDIST, seed=9, **LOOP, inner_steps=2)
+    ref = reference_joint_loop(ds, jdist_cfg, 0.5, init_model=teacher,
+                               teacher=teacher)
+    assert_same_run(ref, train_jdist(ds, jdist_cfg, teacher))
 
 
 # -- plain linear predictor ---------------------------------------------------
