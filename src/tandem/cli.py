@@ -3,7 +3,9 @@
 Subcommands: train one method on one dataset, run a full experiment grid
 from a spec file, scan the fidelity trade-off, dump a saved surrogate's
 feature ranking, and evaluate local-neighborhood fidelity for a saved
-model.  Exit status is the number of failed runs (0 on success).
+model.  ``experiment`` and ``pareto-scan`` exit with the number of failed
+runs (0 on success); ``train``, ``gnf`` and a spec that cannot be loaded
+exit with 1.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import sys
 
 from .harness import (
+    ExperimentSpec,
     GnfSettings,
     build_config,
     dataset_name,
@@ -93,10 +96,23 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    spec = load_experiment_spec(args.spec)
+def _load_spec(args: argparse.Namespace) -> ExperimentSpec | None:
+    """The ``--spec`` file with any ``--out`` applied, or None once the
+    reason it cannot be loaded is printed."""
+    try:
+        spec = load_experiment_spec(args.spec)
+    except (TandemError, OSError, ValueError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return None
     if args.out is not None:
         spec = dataclasses.replace(spec, output_dir=args.out)
+    return spec
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
+    if spec is None:
+        return 1
     rows, _, failures = run_experiment(spec)
     os.makedirs(spec.output_dir, exist_ok=True)
     path = os.path.join(spec.output_dir, f"results.{args.format}")
@@ -114,9 +130,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_pareto_scan(args: argparse.Namespace) -> int:
-    spec = load_experiment_spec(args.spec)
-    if args.out is not None:
-        spec = dataclasses.replace(spec, output_dir=args.out)
+    spec = _load_spec(args)
+    if spec is None:
+        return 1
     points, failures = pareto_scan(spec)
     os.makedirs(spec.output_dir, exist_ok=True)
     path = os.path.join(spec.output_dir, f"pareto.{args.format}")

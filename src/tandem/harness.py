@@ -9,6 +9,7 @@ standard deviations are aggregated across seeds per method and metric.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -161,7 +162,10 @@ def spec_from_dict(raw: dict, base_dir: str = ".") -> ExperimentSpec:
         base_dir = os.path.dirname(path) or "."
     if not isinstance(dataset, dict):
         raise DataError("spec needs a dataset descriptor or descriptor path")
-    gnf_settings = GnfSettings(**raw.get("gnf", {}))
+    try:
+        gnf_settings = GnfSettings(**raw.get("gnf", {}))
+    except TypeError as exc:
+        raise DataError(f"bad gnf settings: {exc}") from None
     return ExperimentSpec(
         dataset=dataset,
         methods=tuple(raw.get("methods", ())),
@@ -500,6 +504,23 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.6g}"
 
 
+REPORT_COLUMNS = ("dataset", "method", "metric", "mean", "std")
+
+
+def _write_csv(path: str, header: tuple[str, ...], records) -> None:
+    """One header line, then one line per record; fields are quoted only
+    when they hold a comma, a quote or a line break."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        # The writer only quotes line-terminator characters, and a bare
+        # carriage return is not one, so such a record is quoted in full.
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(header)
+        for record in records:
+            has_cr = any("\r" in str(field) for field in record)
+            (quote_all if has_cr else writer).writerow(record)
+
+
 def emit_report(rows: list[ResultRow], fmt: str, path: str) -> None:
     """Write the aggregated table as CSV or versioned JSON.
 
@@ -507,14 +528,10 @@ def emit_report(rows: list[ResultRow], fmt: str, path: str) -> None:
     significant digits; an empty table still gets the CSV header.
     """
     if fmt == "csv":
-        lines = ["dataset,method,metric,mean,std"]
-        for row in rows:
-            lines.append(
-                f"{row.dataset},{row.method},{row.metric},"
-                f"{_fmt(row.mean)},{_fmt(row.std)}"
-            )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(path, REPORT_COLUMNS, (
+            (row.dataset, row.method, row.metric, _fmt(row.mean), _fmt(row.std))
+            for row in rows
+        ))
         return
     if fmt == "json":
         payload = {
@@ -538,13 +555,15 @@ def emit_report(rows: list[ResultRow], fmt: str, path: str) -> None:
 
 def read_report_csv(path: str) -> list[ResultRow]:
     """Parse a CSV report back into rows (inverse of emit_report)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line]
-    if not lines or lines[0] != "dataset,method,metric,mean,std":
+    with open(path, encoding="utf-8", newline="") as fh:
+        records = [record for record in csv.reader(fh) if record]
+    if not records or tuple(records[0]) != REPORT_COLUMNS:
         raise DataError(f"{path}: not a results CSV")
     rows = []
-    for line in lines[1:]:
-        dataset, method, metric, mean, std = line.split(",")
+    for record in records[1:]:
+        if len(record) != len(REPORT_COLUMNS):
+            raise DataError(f"{path}: row {record} needs {len(REPORT_COLUMNS)} fields")
+        dataset, method, metric, mean, std = record
         rows.append(ResultRow(
             dataset=dataset, method=method, metric=metric,
             mean=float(mean), std=None if std == "" else float(std),
@@ -555,15 +574,12 @@ def read_report_csv(path: str) -> list[ResultRow]:
 def emit_scatter(points: list[ScatterPoint], fmt: str, path: str) -> None:
     """Write trade-off scan points as CSV or versioned JSON."""
     if fmt == "csv":
-        lines = ["seed,method,alpha,task_metric,gf,dominated"]
-        for p in points:
-            alpha = "" if p.alpha is None else f"{p.alpha:.6g}"
-            lines.append(
-                f"{p.seed},{p.method},{alpha},{_fmt(p.task_metric)},"
-                f"{_fmt(p.gf)},{str(p.dominated).lower()}"
-            )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header = ("seed", "method", "alpha", "task_metric", "gf", "dominated")
+        _write_csv(path, header, (
+            (p.seed, p.method, "" if p.alpha is None else f"{p.alpha:.6g}",
+             _fmt(p.task_metric), _fmt(p.gf), str(p.dominated).lower())
+            for p in points
+        ))
         return
     if fmt == "json":
         payload = {

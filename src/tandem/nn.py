@@ -17,7 +17,7 @@ the gradient of the batch-mean loss, which makes it batch-size invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -275,47 +275,48 @@ def unflatten_params(model: MlpModel, vector) -> MlpModel:
     return MlpModel(tuple(layers), model.output_kind)
 
 
-@dataclass(frozen=True)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
+@dataclass
 class AdamState:
-    """Moment estimates for one flat parameter vector."""
+    """Moment estimates for one flat parameter vector, updated in place."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("betas must lie in (0, 1)")
         if self.step_count < 0:
             raise ValueError("step_count must be nonnegative")
         if self.first_moment.shape != self.second_moment.shape:
             raise ShapeError("moment vectors must have equal length")
 
 
-def adam_init(n_params: int, beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> AdamState:
-    zeros = np.zeros(int(n_params))
-    return AdamState(zeros, zeros.copy(), 0, beta1, beta2, epsilon)
+def adam_init(n_params: int) -> AdamState:
+    return AdamState(np.zeros(int(n_params)), np.zeros(int(n_params)))
 
 
-def adam_step(params, grad, state: AdamState, lr: float):
-    """One Adam update with bias correction; returns (new_params, new_state)."""
-    params = _as_vector(params, "params")
+def adam_step(params: np.ndarray, grad, state: AdamState, lr: float) -> None:
+    """One Adam update with bias correction; updates in place both
+    ``params``, a float64 vector, and ``state``."""
+    if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
+        raise TypeError("params must be a float64 array, updated in place")
     grad = _as_vector(grad, "grad")
     if params.shape != grad.shape or params.shape != state.first_moment.shape:
         raise ShapeError("params, grad and Adam state lengths must agree")
     if not np.isfinite(grad).all():
         raise NumericError("gradient has non-finite entries")
-    t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_params, replace(state, first_moment=m, second_moment=v, step_count=t)
+    state.step_count += 1
+    t = state.step_count
+    m, v = state.first_moment, state.second_moment
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 # ---------------------------------------------------------------------------

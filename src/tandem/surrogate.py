@@ -47,6 +47,16 @@ def surrogate_predict(g: LinearSurrogate, x) -> float:
     return float(g.phi @ x + g.bias)
 
 
+def _predict_flat(params: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Surrogate outputs from the flat (phi, bias) vector; nothing is validated."""
+    return X @ params[:-1] + params[-1]
+
+
+def _grad_flat(X: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Fidelity gradient in flat (phi, bias) order; nothing is validated."""
+    return -(2.0 / X.shape[0]) * np.concatenate([X.T @ r, [r.sum()]])
+
+
 def predict_batch(g: LinearSurrogate, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != g.n_features:
@@ -66,10 +76,7 @@ def surrogate_grad(g: LinearSurrogate, X, residuals) -> np.ndarray:
         raise ShapeError(f"batch shape {X.shape} incompatible with d={g.n_features}")
     if r.shape != (X.shape[0],):
         raise ShapeError(f"residuals length {r.shape} != batch rows {X.shape[0]}")
-    n = X.shape[0]
-    grad_phi = -(2.0 / n) * (X.T @ r)
-    grad_b = -(2.0 / n) * r.sum()
-    return np.concatenate([grad_phi, [grad_b]])
+    return _grad_flat(X, r)
 
 
 def surrogate_params(g: LinearSurrogate) -> np.ndarray:

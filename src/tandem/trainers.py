@@ -7,6 +7,9 @@ fidelity gradients.  The min-norm solver picks that combination adaptively;
 the weighted baselines fix it by schedule; the ablations decouple or
 distill.  Stationarity is checked once per epoch on full-batch gradients.
 
+While a fit runs, the network and the surrogate are flat vectors stepped
+in place by Adam; their model objects are built once, when it returns.
+
 Metrics in a report are computed on the test split, falling back to all
 rows when the dataset has no test rows.
 """
@@ -53,11 +56,9 @@ from .nn import (
 from .seeding import rng_for
 from .surrogate import (
     LinearSurrogate,
-    init_surrogate,
-    predict_batch,
+    _grad_flat,
+    _predict_flat,
     surrogate_from_params,
-    surrogate_grad,
-    surrogate_params,
 )
 
 MOO = "MOO"
@@ -237,6 +238,13 @@ def _direction(method: _JointMethod, g_first: np.ndarray, g_pf: np.ndarray,
     return combine_direction(alpha, g_first, g_pf), alpha
 
 
+def _phi_step(phi: np.ndarray, grad: np.ndarray, state, lr: float) -> None:
+    """One in-place Adam step on a flat (phi, bias) vector."""
+    adam_step(phi, grad, state, lr)
+    if not np.isfinite(phi).all():
+        raise NumericError("surrogate parameters must be finite")
+
+
 def _joint_loop(
     dataset: Dataset,
     config: TrainConfig,
@@ -246,10 +254,11 @@ def _joint_loop(
 ) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
     """Shared epoch/step loop for all joint training methods.
 
-    The network lives in one flat vector ``theta``; the layers are views
-    into it.  Per step: one forward pass over the batch, whose output is the
-    surrogate's fitting target for every inner step and whose caches feed
-    the predictive and fidelity backward passes; ``method`` combines the two
+    The network lives in one flat vector ``theta``, the layers views into
+    it, and the surrogate in ``phi``, its coefficients then bias.  Per
+    step: one forward pass over the batch, whose output is the surrogate's
+    fitting target for every inner step and whose caches feed the
+    predictive and fidelity backward passes; ``method`` combines the two
     gradients and one Adam step moves ``theta``.  Per epoch: record
     full-batch losses and, when the surrogate is trained, stop if the
     full-batch gradient pair from that same forward is Pareto stationary.
@@ -263,21 +272,22 @@ def _joint_loop(
         )
     theta = flatten_params(init_model)
     params = _param_views(init_model, theta)
-    g = init_surrogate(dataset.n_features)
+    phi = np.zeros(dataset.n_features + 1)
     theta_state = adam_init(theta.size)
-    phi_state = adam_init(dataset.n_features + 1)
+    phi_state = adam_init(phi.size)
     rng_batch = rng_for(config.seed, "batch")
     rng_alpha = rng_for(config.seed, "alpha")
+    # The teacher never changes: its train-split outputs are computed once.
+    t_all = None if method.teacher is None else forward_batch(method.teacher, X)
 
-    def gradients(Xr, yr, f_out, caches, g_out):
+    def gradients(rows, f_out, caches, g_out):
         """Predictive gradient, the same plus any distillation term, and
-        fidelity gradient, all from one cached forward."""
-        g_pred = _backward_cached(params, caches, upstream_derivative(f_out, yr, kind))
+        fidelity gradient on train rows ``rows``, all from one cached forward."""
+        g_pred = _backward_cached(params, caches, upstream_derivative(f_out, y[rows], kind))
         g_first = g_pred
-        if method.teacher is not None:
-            t_out = forward_batch(method.teacher, Xr)
+        if t_all is not None:
             g_dist = _backward_cached(
-                params, caches, upstream_derivative(f_out, t_out, DISTILL))
+                params, caches, upstream_derivative(f_out, t_all[rows], DISTILL))
             g_first = g_pred + method.dist_weight * g_dist
         g_pf = _backward_cached(
             params, caches, upstream_derivative(f_out, g_out, POINT_FIDELITY))
@@ -293,28 +303,24 @@ def _joint_loop(
     for epoch in range(config.max_epochs):
         step_alphas: list[float] = []
         for batch in _batches(rng_batch, X.shape[0], config.batch_size):
-            Xb, yb = X[batch], y[batch]
+            Xb = X[batch]
             f_out, caches = _forward_cached(params, Xb)
             if method.update_phi:
                 for _ in range(config.inner_steps):
                     # The black-box output is the fitting target, never differentiated.
-                    phi_grad = surrogate_grad(g, Xb, f_out - predict_batch(g, Xb))
-                    new_phi, phi_state = adam_step(
-                        surrogate_params(g), phi_grad, phi_state, config.lr_phi
-                    )
-                    g = surrogate_from_params(new_phi)
-            g_pred, g_first, g_pf = gradients(Xb, yb, f_out, caches, predict_batch(g, Xb))
+                    _phi_step(phi, _grad_flat(Xb, f_out - _predict_flat(phi, Xb)),
+                              phi_state, config.lr_phi)
+            g_pred, g_first, g_pf = gradients(batch, f_out, caches, _predict_flat(phi, Xb))
             d, alpha = _direction(method, g_first, g_pf, rng_alpha)
             min_dot_pred = min(min_dot_pred, float(d @ g_pred))
             min_dot_pf = min(min_dot_pf, float(d @ g_pf))
-            new_theta, theta_state = adam_step(theta, d, theta_state, config.lr_theta)
-            theta[:] = new_theta
+            adam_step(theta, d, theta_state, config.lr_theta)
             if not np.isfinite(theta).all():
                 raise NumericError("layer parameters must be finite")
             step_alphas.append(alpha)
 
         out, caches = _forward_cached(params, X)
-        g_out = predict_batch(g, X)
+        g_out = _predict_flat(phi, X)
         lp = loss_pred(out, y, kind)
         lpf = loss_point_fidelity(out, g_out)
         if not (np.isfinite(lp) and np.isfinite(lpf)):
@@ -323,12 +329,13 @@ def _joint_loop(
         pf_hist.append(lpf)
         alpha_hist.append(float(np.mean(step_alphas)))
         if method.update_phi:
-            _, ga, gb = gradients(X, y, out, caches, g_out)
+            _, ga, gb = gradients(slice(None), out, caches, g_out)
             if is_pareto_stationary(ga, gb, config.stationarity_tol):
                 stopped = STOP_STATIONARY
                 break
 
     model = unflatten_params(init_model, theta)
+    g = surrogate_from_params(phi)
     metric, gf = _final_metrics(model, g, dataset)
     report = TrainReport(
         method=method_tag,
@@ -394,35 +401,30 @@ def train_jsep(
     return _joint_loop(dataset, config, JSEP, _TABLE[JSEP], init_model=init_model)
 
 
-def _fit_phi(
-    model: MlpModel,
-    X: np.ndarray,
-    config: TrainConfig,
-    g: LinearSurrogate | None = None,
-) -> tuple[LinearSurrogate, list[float], str]:
-    """Full-batch Adam fit of the surrogate to a frozen model's outputs.
+def _fit_phi(X: np.ndarray, targets: np.ndarray,
+             config: TrainConfig) -> tuple[LinearSurrogate, list[float], str]:
+    """Full-batch Adam fit of a zero-initialised surrogate to fixed targets.
 
     Stops when the per-epoch loss decrease falls below ``phi_tol`` or after
-    ``phi_max_epochs`` epochs.
+    ``phi_max_epochs`` epochs.  Each epoch's residual serves both its stop
+    test and the next epoch's gradient.
     """
-    if g is None:
-        g = init_surrogate(X.shape[1])
-    state = adam_init(X.shape[1] + 1)
-    targets = forward_batch(model, X)
+    phi = np.zeros(X.shape[1] + 1)
+    state = adam_init(phi.size)
     history: list[float] = []
     stopped = STOP_BUDGET
-    prev = float(np.mean((targets - predict_batch(g, X)) ** 2))
+    residual = targets - _predict_flat(phi, X)
+    prev = float(np.mean(residual ** 2))
     for _ in range(config.phi_max_epochs):
-        grad = surrogate_grad(g, X, targets - predict_batch(g, X))
-        params, state = adam_step(surrogate_params(g), grad, state, config.lr_phi)
-        g = surrogate_from_params(params)
-        cur = float(np.mean((targets - predict_batch(g, X)) ** 2))
+        _phi_step(phi, _grad_flat(X, residual), state, config.lr_phi)
+        residual = targets - _predict_flat(phi, X)
+        cur = float(np.mean(residual ** 2))
         history.append(cur)
         if prev - cur < config.phi_tol:
             stopped = STOP_STATIONARY
             break
         prev = cur
-    return g, history, stopped
+    return surrogate_from_params(phi), history, stopped
 
 
 def train_stl(
@@ -438,8 +440,9 @@ def train_stl(
     """
     model, _, phase1 = _joint_loop(dataset, config, STL, _TABLE[STL])
     X, y = subset(dataset, TRAIN)
-    g, pf_hist, stopped = _fit_phi(model, X, config)
-    final_pred = loss_pred(forward_batch(model, X), y, _pred_kind(dataset))
+    outputs = forward_batch(model, X)
+    g, pf_hist, stopped = _fit_phi(X, outputs, config)
+    final_pred = loss_pred(outputs, y, _pred_kind(dataset))
     metric, gf = _final_metrics(model, g, dataset)
     report = TrainReport(
         method=STL,
@@ -491,25 +494,23 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> tuple[LinearSurrogate
     history records zeros.  Runs to the full epoch budget.
     """
     X, y = subset(dataset, TRAIN)
-    n, d = X.shape
-    g = init_surrogate(d)
-    state = adam_init(d + 1)
+    phi = np.zeros(X.shape[1] + 1)
+    state = adam_init(phi.size)
     rng_batch = rng_for(config.seed, "batch")
     classification = dataset.task == CLASSIFICATION
     pred_hist: list[float] = []
 
     for epoch in range(config.max_epochs):
-        for batch in _batches(rng_batch, n, config.batch_size):
+        for batch in _batches(rng_batch, X.shape[0], config.batch_size):
             Xb, yb = X[batch], y[batch]
-            scores = predict_batch(g, Xb)
+            scores = _predict_flat(phi, Xb)
             if classification:
                 u = (sigmoid(scores) - yb) / Xb.shape[0]
             else:
                 u = 2.0 * (scores - yb) / Xb.shape[0]
             grad = np.concatenate([Xb.T @ u, [float(np.sum(u))]])
-            params, state = adam_step(surrogate_params(g), grad, state, config.lr_phi)
-            g = surrogate_from_params(params)
-        scores = predict_batch(g, X)
+            _phi_step(phi, grad, state, config.lr_phi)
+        scores = _predict_flat(phi, X)
         outputs = sigmoid(scores) if classification else scores
         lp = loss_pred(outputs, y, _pred_kind(dataset))
         if not np.isfinite(lp):
@@ -517,7 +518,7 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> tuple[LinearSurrogate
         pred_hist.append(lp)
 
     X_eval, y_eval = _eval_rows(dataset)
-    scores = predict_batch(g, X_eval)
+    scores = _predict_flat(phi, X_eval)
     outputs = sigmoid(scores) if classification else scores
     report = TrainReport(
         method=LINEAR,
@@ -530,7 +531,7 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> tuple[LinearSurrogate
         task_metric=task_metric(outputs, y_eval, dataset.task),
         gf=None,
     )
-    return g, report
+    return surrogate_from_params(phi), report
 
 
 def fit_local_surrogate(
@@ -553,7 +554,7 @@ def fit_local_surrogate(
     if np.linalg.matrix_rank(design) == design.shape[1]:
         solution = np.linalg.lstsq(design, targets, rcond=None)[0]
         return LinearSurrogate(phi=solution[:-1], bias=float(solution[-1])), False
-    g, _, _ = _fit_phi(f, nb, config)
+    g, _, _ = _fit_phi(nb, targets, config)
     return g, True
 
 

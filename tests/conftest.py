@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and have no deadline.
+settings.register_profile("tandem", derandomize=True, deadline=None)
+settings.load_profile("tandem")
 
 
 def central_diff(fn, x, h=1e-5):
@@ -15,6 +20,24 @@ def central_diff(fn, x, h=1e-5):
         dn[i] -= h
         grad[i] = (fn(up) - fn(dn)) / (2.0 * h)
     return grad
+
+
+def reference_adam_init(n):
+    """State (first moment, second moment, step count) for ``reference_adam``."""
+    return np.zeros(n), np.zeros(n), 0
+
+
+def reference_adam(params, grad, state, lr):
+    """Functional Adam with bias correction, written apart from
+    ``tandem.nn.adam_step``: returns (new_params, new_state) and leaves
+    its inputs untouched."""
+    m, v, t = state
+    t += 1
+    m = 0.9 * m + (1.0 - 0.9) * grad
+    v = 0.999 * v + (1.0 - 0.999) * grad * grad
+    m_hat = m / (1.0 - 0.9**t)
+    v_hat = v / (1.0 - 0.999**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + 1e-8), (m, v, t)
 
 
 @pytest.fixture

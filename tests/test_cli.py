@@ -125,6 +125,32 @@ def test_pareto_scan_subcommand(tmp_path, descriptor_path, capsys):
     assert "MOO:" in stdout and "GS(0.9):" in stdout
 
 
+BAD_SPECS = {
+    "unknown gnf key": ({"gnf": {"pointz": 5}}, "pointz"),
+    "zero gnf points": ({"gnf": {"points": 0}}, "points"),
+    "unknown spec key": ({"seedz": [0]}, "seedz"),
+    "missing spec file": (None, "absent.json"),
+}
+
+
+@pytest.mark.parametrize("command", ["experiment", "pareto-scan"])
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_bad_spec_reports_failure(tmp_path, capsys, command, case):
+    extra, message = BAD_SPECS[case]
+    spec = tmp_path / "absent.json"
+    if extra is not None:
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({
+            "dataset": DESCRIPTOR, "methods": [{"method": "MOO"}], "seeds": [0],
+            "output_dir": str(tmp_path / "out"), **extra,
+        }))
+    code = main([command, "--spec", str(spec)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} failed: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_explain_subcommand_ranks_coefficients(tmp_path, capsys):
     g = LinearSurrogate(phi=np.array([0.1, -0.9, 0.5]), bias=0.25)
     path = tmp_path / "g.json"

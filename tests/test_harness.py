@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tandem.data import CLASSIFICATION
 from tandem.errors import DataError
@@ -380,6 +383,9 @@ def test_read_report_rejects_foreign_csv(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(DataError):
         read_report_csv(str(path))
+    path.write_text("dataset,method,metric,mean,std\nadult,MOO,f1,0.5\n")
+    with pytest.raises(DataError, match="needs 5 fields"):
+        read_report_csv(str(path))
 
 
 def test_scatter_emission_round_trips_schema(tmp_path, scan):
@@ -433,3 +439,42 @@ def test_gnf_settings_reject_out_of_range_values(bad):
     with pytest.raises(DataError):
         spec_from_dict({"dataset": dict(SYNTH), "methods": [{"method": MOO}],
                         "seeds": [0], "gnf": bad})
+
+
+@pytest.mark.parametrize("gnf", [{"pointz": 5}, ["points"]])
+def test_spec_rejects_malformed_gnf_block(gnf):
+    with pytest.raises(DataError, match="gnf"):
+        spec_from_dict({"dataset": dict(SYNTH), "methods": [{"method": MOO}],
+                        "seeds": [0], "gnf": gnf})
+
+
+LABELS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+VALUES = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@given(st.lists(st.tuples(LABELS, LABELS, st.sampled_from(["f1", "mse", "gf", "gnf"]),
+                          VALUES, st.none() | VALUES), max_size=6))
+def test_report_csv_round_trips_arbitrary_labels(records):
+    rows = [ResultRow(*record) for record in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.csv")
+        emit_report(rows, "csv", path)
+        parsed = read_report_csv(path)
+    assert parsed == [
+        ResultRow(row.dataset, row.method, row.metric, float(f"{row.mean:.6g}"),
+                  None if row.std is None else float(f"{row.std:.6g}"))
+        for row in rows
+    ]
+
+
+def test_report_csv_quotes_labels_that_need_it(tmp_path):
+    path = tmp_path / "results.csv"
+    rows = [ResultRow("adult, v2", 'GS "0.3"', "f1", 0.5, None),
+            ResultRow("a\rb", "MOO", "f1", 0.25, 0.125)]
+    emit_report(rows, "csv", str(path))
+    assert path.read_bytes().split(b"\n")[1:] == [
+        b'"adult, v2","GS ""0.3""",f1,0.5,',
+        b'"a\rb","MOO","f1","0.25","0.125"',
+        b"",
+    ]
+    assert read_report_csv(str(path)) == rows

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff
+from conftest import central_diff, reference_adam, reference_adam_init
 from tandem.errors import NumericError, ShapeError
 from tandem.nn import (
     BINARY_PROBABILITY,
@@ -133,16 +133,16 @@ def test_backward_matches_finite_differences_on_random_net():
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = np.array([1.0, -2.0, 3.0])
     state = adam_init(3)
-    new_params, new_state = adam_step(params, np.zeros(3), state, lr=0.1)
-    assert np.array_equal(new_params, params)
-    assert new_state.step_count == 1
+    adam_step(params, np.zeros(3), state, lr=0.1)
+    assert np.array_equal(params, [1.0, -2.0, 3.0])
+    assert state.step_count == 1
 
 
 def test_adam_first_step_is_signed_lr():
     params = np.zeros(4)
     grad = np.array([0.3, -0.7, 2.0, -0.001])
-    new_params, _ = adam_step(params, grad, adam_init(4), lr=0.05)
-    assert np.allclose(new_params, -0.05 * np.sign(grad), atol=1e-6)
+    adam_step(params, grad, adam_init(4), lr=0.05)
+    assert np.allclose(params, -0.05 * np.sign(grad), atol=1e-6)
 
 
 def test_adam_three_steps_match_hand_rolled_reference():
@@ -163,7 +163,7 @@ def test_adam_three_steps_match_hand_rolled_reference():
     state = adam_init(1)
     for step in range(3):
         grad = 2.0 * params
-        params, state = adam_step(params, grad, state, lr=lr)
+        adam_step(params, grad, state, lr=lr)
         assert params[0] == pytest.approx(trajectory[step], abs=1e-12)
 
 
@@ -175,6 +175,39 @@ def test_adam_rejects_non_finite_gradient():
 def test_adam_rejects_mismatched_state():
     with pytest.raises(ShapeError):
         adam_step(np.zeros(2), np.zeros(2), adam_init(3), lr=0.1)
+
+
+def test_adam_rejects_params_it_cannot_update_in_place():
+    with pytest.raises(TypeError):
+        adam_step([0.0, 0.0], np.zeros(2), adam_init(2), lr=0.1)
+    with pytest.raises(TypeError):
+        adam_step(np.zeros(2, dtype=np.float32), np.zeros(2), adam_init(2), lr=0.1)
+
+
+def test_adam_state_rejects_negative_step_count():
+    with pytest.raises(ValueError):
+        AdamState(np.zeros(2), np.zeros(2), -1)
+
+
+@given(
+    n=st.integers(1, 40),
+    steps=st.integers(1, 25),
+    lr=st.floats(1e-6, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_place_adam_equals_functional_reference(n, steps, lr, seed):
+    rng = np.random.default_rng(seed)
+    params = rng.standard_normal(n)
+    ref, ref_state = params.copy(), reference_adam_init(n)
+    state = adam_init(n)
+    for _ in range(steps):
+        grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8)
+        adam_step(params, grad, state, lr)
+        ref, ref_state = reference_adam(ref, grad, ref_state, lr)
+        assert np.array_equal(params, ref)
+    assert np.array_equal(state.first_moment, ref_state[0])
+    assert np.array_equal(state.second_moment, ref_state[1])
+    assert state.step_count == ref_state[2] == steps
 
 
 def test_param_count_follows_layer_dimensions():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tandem
+from conftest import reference_adam, reference_adam_init
 from tandem.data import CLASSIFICATION, REGRESSION, TEST, TRAIN, Dataset, subset
 from tandem.losses import (
     BCE,
@@ -23,13 +24,12 @@ from tandem.nn import (
     REGRESSION_SCALAR,
     Layer,
     MlpModel,
-    adam_init,
-    adam_step,
     flatten_params,
     forward_batch,
     init_mlp,
     mlp_backward,
     param_count,
+    sigmoid,
     unflatten_params,
 )
 from tandem.seeding import rng_for
@@ -355,8 +355,9 @@ def reference_joint_loop(dataset, config, rule, init_model=None, teacher=None,
                          update_phi=True):
     """The joint loop written with the public per-call API only.
 
-    Every gradient is its own validated forward and backward pass, and the
-    model is rebuilt from its flat parameters after each Adam step.
+    Every gradient is its own validated forward and backward pass, the
+    model is rebuilt from its flat parameters after each step of the
+    functional ``reference_adam``, and so is the surrogate.
     ``rule`` is "min-norm", "uniform", "pred-only" or a constant weight;
     a ``teacher`` adds its unit-weight distillation gradient at weight 0.5.
     """
@@ -367,8 +368,8 @@ def reference_joint_loop(dataset, config, rule, init_model=None, teacher=None,
     model = init_model or init_mlp(dataset.n_features, config.hidden, out_kind,
                                    rng_for(config.seed, "init-theta"))
     g = init_surrogate(dataset.n_features)
-    theta_state = adam_init(param_count(model))
-    phi_state = adam_init(dataset.n_features + 1)
+    theta_state = reference_adam_init(param_count(model))
+    phi_state = reference_adam_init(dataset.n_features + 1)
     rng_batch = rng_for(config.seed, "batch")
     rng_alpha = rng_for(config.seed, "alpha")
 
@@ -393,9 +394,9 @@ def reference_joint_loop(dataset, config, rule, init_model=None, teacher=None,
             if update_phi:
                 for _ in range(config.inner_steps):
                     residuals = forward_batch(model, Xb) - predict_batch(g, Xb)
-                    phi, phi_state = adam_step(surrogate_params(g),
-                                               surrogate_grad(g, Xb, residuals),
-                                               phi_state, config.lr_phi)
+                    phi, phi_state = reference_adam(surrogate_params(g),
+                                                    surrogate_grad(g, Xb, residuals),
+                                                    phi_state, config.lr_phi)
                     g = surrogate_from_params(phi)
             g_pred = grad(model, Xb, yb, kind)
             g_pf = grad(model, Xb, predict_batch(g, Xb), POINT_FIDELITY)
@@ -414,8 +415,8 @@ def reference_joint_loop(dataset, config, rule, init_model=None, teacher=None,
                 d = combine_direction(alpha, g_pred, g_pf)
             min_dot_pred = min(min_dot_pred, float(d @ g_pred))
             min_dot_pf = min(min_dot_pf, float(d @ g_pf))
-            theta, theta_state = adam_step(flatten_params(model), d, theta_state,
-                                           config.lr_theta)
+            theta, theta_state = reference_adam(flatten_params(model), d, theta_state,
+                                                config.lr_theta)
             model = unflatten_params(model, theta)
             alphas.append(alpha)
         out = forward_batch(model, X)
@@ -495,6 +496,94 @@ def test_predictive_only_and_distillation_loops_match_reference(data):
     assert_same_run(ref, train_jdist(ds, jdist_cfg, teacher))
 
 
+def reference_fit_phi(X, targets, config):
+    """Full-batch surrogate fit from zero with the public per-call API:
+    returns the surrogate, the per-epoch losses and the stop reason."""
+    g = init_surrogate(X.shape[1])
+    state = reference_adam_init(X.shape[1] + 1)
+    history = []
+    prev = float(np.mean((targets - predict_batch(g, X)) ** 2))
+    for _ in range(config.phi_max_epochs):
+        grad = surrogate_grad(g, X, targets - predict_batch(g, X))
+        params, state = reference_adam(surrogate_params(g), grad, state, config.lr_phi)
+        g = surrogate_from_params(params)
+        cur = float(np.mean((targets - predict_batch(g, X)) ** 2))
+        history.append(cur)
+        if prev - cur < config.phi_tol:
+            return g, history, STOP_STATIONARY
+        prev = cur
+    return g, history, STOP_BUDGET
+
+
+@pytest.mark.parametrize("data", ["classification", "regression"])
+@pytest.mark.parametrize("phi_tol, stop", [(1e-4, STOP_STATIONARY),
+                                           (-np.inf, STOP_BUDGET)])
+def test_stl_surrogate_phase_matches_reference(data, phi_tol, stop):
+    ds = small_classification_dataset() if data == "classification" else (
+        linear_regression_dataset())
+    cfg = TrainConfig(method=STL, seed=9, **LOOP, phi_max_epochs=300, phi_tol=phi_tol)
+    ref_model, _, phase1 = reference_joint_loop(ds, cfg, "pred-only", update_phi=False)
+    model, g, report = train_stl(ds, cfg)
+    assert np.array_equal(flatten_params(model), flatten_params(ref_model))
+
+    X, y = subset(ds, TRAIN)
+    outputs = forward_batch(ref_model, X)
+    ref_g, pf_hist, stopped = reference_fit_phi(X, outputs, cfg)
+    assert stopped == stop
+    assert np.array_equal(surrogate_params(g), surrogate_params(ref_g))
+    final_pred = loss_pred(outputs, y, BCE if data == "classification" else MSE)
+    assert report.loss_pred_history == (phase1["loss_pred_history"]
+                                        + (final_pred,) * len(pf_hist))
+    assert report.loss_pf_history == phase1["loss_pf_history"] + tuple(pf_hist)
+    assert report.epochs_run == phase1["epochs_run"] + len(pf_hist)
+    assert report.stopped_reason == stopped
+
+
+def reference_train_linear(dataset, config):
+    """The linear predictor's loop with the public per-call API: returns
+    the surrogate and the per-epoch training losses."""
+    X, y = subset(dataset, TRAIN)
+    classification = dataset.task == CLASSIFICATION
+    kind = BCE if classification else MSE
+    g = init_surrogate(X.shape[1])
+    state = reference_adam_init(X.shape[1] + 1)
+    rng_batch = rng_for(config.seed, "batch")
+    history = []
+    for _ in range(config.max_epochs):
+        order = rng_batch.permutation(X.shape[0])
+        for start in range(0, X.shape[0], config.batch_size):
+            batch = order[start:start + config.batch_size]
+            Xb, yb = X[batch], y[batch]
+            scores = predict_batch(g, Xb)
+            if classification:
+                u = (sigmoid(scores) - yb) / Xb.shape[0]
+            else:
+                u = 2.0 * (scores - yb) / Xb.shape[0]
+            grad = np.concatenate([Xb.T @ u, [float(np.sum(u))]])
+            params, state = reference_adam(surrogate_params(g), grad, state,
+                                           config.lr_phi)
+            g = surrogate_from_params(params)
+        scores = predict_batch(g, X)
+        history.append(loss_pred(sigmoid(scores) if classification else scores,
+                                 y, kind))
+    return g, tuple(history)
+
+
+@pytest.mark.parametrize("data", ["classification", "regression"])
+def test_linear_model_matches_reference(data):
+    ds = small_classification_dataset() if data == "classification" else (
+        linear_regression_dataset())
+    cfg = TrainConfig(method=LINEAR, seed=3, **LOOP)
+    ref_g, history = reference_train_linear(ds, cfg)
+    g, report = train_linear(ds, cfg)
+    assert np.array_equal(surrogate_params(g), surrogate_params(ref_g))
+    assert report.loss_pred_history == history
+    X_test, y_test = subset(ds, TEST)
+    scores = predict_batch(ref_g, X_test)
+    outputs = sigmoid(scores) if data == "classification" else scores
+    assert report.task_metric == tandem.trainers.task_metric(outputs, y_test, ds.task)
+
+
 # -- plain linear predictor ---------------------------------------------------
 
 
@@ -552,6 +641,23 @@ def test_local_fit_flags_degenerate_neighborhood():
     from tandem.nn import mlp_forward
 
     assert abs(predict_batch(g, neighborhood)[0] - mlp_forward(f, x)) <= 1e-3
+
+
+@pytest.mark.parametrize("output_kind", [REGRESSION_SCALAR, BINARY_PROBABILITY])
+@pytest.mark.parametrize("phi_tol, stop", [(1e-5, STOP_STATIONARY),
+                                           (-np.inf, STOP_BUDGET)])
+def test_degenerate_local_fit_matches_reference(output_kind, phi_tol, stop):
+    f = init_mlp(4, (6,), output_kind, rng_for(2, "init-theta"))
+    x = np.array([0.3, -0.5, 1.1, 0.2])
+    # Four rows cannot determine five coefficients, so the fit is degenerate.
+    neighborhood = x + 0.3 * np.random.default_rng(8).standard_normal((4, 4))
+    cfg = TrainConfig(method=MOO, seed=0, lr_phi=1e-2, phi_max_epochs=400,
+                      phi_tol=phi_tol)
+    g, degenerate = fit_local_surrogate(f, x, neighborhood, cfg)
+    ref_g, _, stopped = reference_fit_phi(neighborhood,
+                                          forward_batch(f, neighborhood), cfg)
+    assert degenerate and stopped == stop
+    assert np.array_equal(surrogate_params(g), surrogate_params(ref_g))
 
 
 def test_local_fit_is_deterministic():
