@@ -4,8 +4,8 @@ Subcommands: train one method on one dataset, run a full experiment grid
 from a spec file, scan the fidelity trade-off, dump a saved surrogate's
 feature ranking, and evaluate local-neighborhood fidelity for a saved
 model.  ``experiment`` and ``pareto-scan`` exit with the number of failed
-runs (0 on success); ``train``, ``gnf`` and a spec that cannot be loaded
-exit with 1.
+runs (0 on success); ``train``, ``gnf``, ``explain`` and a spec that
+cannot be loaded exit with 1.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if failures:
         write_failures(failures, spec.output_dir)
         for failure in failures:
-            print(f"FAILED {failure.method} seed={failure.seed}: {failure.error}",
-                  file=sys.stderr)
+            print(f"FAILED {failure.method} seed={failure.seed}: "
+                  f"{failure.error_type}: {failure.error}", file=sys.stderr)
     print(f"wrote {path}")
     return len(failures)
 
@@ -144,15 +144,19 @@ def _cmd_pareto_scan(args: argparse.Namespace) -> int:
     if failures:
         write_failures(failures, spec.output_dir)
         for failure in failures:
-            print(f"FAILED {failure.method} seed={failure.seed}: {failure.error}",
-                  file=sys.stderr)
+            print(f"FAILED {failure.method} seed={failure.seed}: "
+                  f"{failure.error_type}: {failure.error}", file=sys.stderr)
     print(f"wrote {path}")
     return len(failures)
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    surrogate, names = load_surrogate(args.surrogate)
-    importance = explain(surrogate, names)
+    try:
+        surrogate, names = load_surrogate(args.surrogate)
+        importance = explain(surrogate, names)
+    except (TandemError, OSError, ValueError) as exc:
+        print(f"explain failed: {exc}", file=sys.stderr)
+        return 1
     entries = importance.entries[: args.top] if args.top else importance.entries
     if args.format == "json":
         payload = [
@@ -182,7 +186,7 @@ def _cmd_gnf(args: argparse.Namespace) -> int:
             surrogate = init_surrogate(dataset.n_features)
         config = TrainConfig(seed=args.seed)
         value = evaluate_gnf(model, surrogate, args.seed, dataset, settings, config)
-    except (TandemError, ValueError) as exc:
+    except (TandemError, OSError, ValueError) as exc:
         print(f"gnf failed: {exc}", file=sys.stderr)
         return 1
     mode = "global" if args.surrogate is not None else "local"

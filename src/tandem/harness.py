@@ -128,10 +128,13 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class RunFailure:
+    """One run that raised: the exception's message and its type's name."""
+
     dataset: str
     method: str
     seed: int
     error: str
+    error_type: str
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,9 @@ def spec_from_dict(raw: dict, base_dir: str = ".") -> ExperimentSpec:
         gnf_settings = GnfSettings(**raw.get("gnf", {}))
     except TypeError as exc:
         raise DataError(f"bad gnf settings: {exc}") from None
+    for key in ("methods", "seeds"):
+        if not isinstance(raw.get(key, []), list):
+            raise DataError(f"spec {key} must be a list")
     return ExperimentSpec(
         dataset=dataset,
         methods=tuple(raw.get("methods", ())),
@@ -300,7 +306,7 @@ def evaluate_gnf(
     X = X[: settings.points]
     spec = _neighborhood_spec(settings, dataset, seed)
     if settings.local:
-        provider = local_surrogate_provider(model, config)
+        provider = local_surrogate_provider(config)
     else:
         provider = global_surrogate_provider(surrogate)
     return gnf(model, provider, X, spec)
@@ -375,6 +381,10 @@ def aggregate_rows(
     return rows
 
 
+def _failure(dataset: str, method: str, seed: int, exc: Exception) -> RunFailure:
+    return RunFailure(dataset, method, seed, str(exc), type(exc).__name__)
+
+
 def run_experiment(
     spec: ExperimentSpec,
 ) -> tuple[list[ResultRow], list[RunOutcome], list[RunFailure]]:
@@ -417,9 +427,7 @@ def run_experiment(
                     spec.output_dir, name, outcome, dataset.feature_names
                 )
             except Exception as exc:
-                failures.append(RunFailure(
-                    dataset=name, method=entry_label, seed=seed, error=str(exc),
-                ))
+                failures.append(_failure(name, entry_label, seed, exc))
         if entry_label not in labels:
             labels.append(entry_label)
 
@@ -466,7 +474,7 @@ def pareto_scan(
         try:
             dataset = resolve_dataset(spec.dataset, seed, spec.base_dir)
         except Exception as exc:
-            failures.append(RunFailure(name, "dataset", seed, str(exc)))
+            failures.append(_failure(name, "dataset", seed, exc))
             continue
         seed_points: list[tuple[str, float | None, TrainReport]] = []
         config = build_config({"method": MOO}, base, seed)
@@ -474,14 +482,14 @@ def pareto_scan(
             _, _, report = train_joint_moo(dataset, config)
             seed_points.append((MOO, None, report))
         except Exception as exc:
-            failures.append(RunFailure(name, MOO, seed, str(exc)))
+            failures.append(_failure(name, MOO, seed, exc))
         for alpha in PARETO_ALPHAS:
             config = build_config({"method": GS, "alpha": alpha}, base, seed)
             try:
                 _, _, report = train_weighted(dataset, config)
                 seed_points.append((method_label(config), alpha, report))
             except Exception as exc:
-                failures.append(RunFailure(name, method_label(config), seed, str(exc)))
+                failures.append(_failure(name, method_label(config), seed, exc))
 
         losses = [
             np.asarray([_task_loss(r.task_metric, dataset.task), r.gf])
@@ -607,7 +615,7 @@ def write_failures(failures: list[RunFailure], out_dir: str) -> None:
     payload = {
         "failures": [
             {"dataset": f.dataset, "method": f.method, "seed": f.seed,
-             "error": f.error}
+             "error": f.error, "error_type": f.error_type}
             for f in failures
         ]
     }

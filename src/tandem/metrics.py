@@ -4,7 +4,8 @@ Global fidelity is the mean squared disagreement between the black-box and
 its surrogate over a dataset.  Neighborhood fidelity averages the same
 disagreement over perturbations of one instance; its dataset aggregate
 averages over instances, with each instance's perturbations drawn from a
-derived seed so results are order-independent and reproducible.
+derived seed so results are order-independent and reproducible.  The
+aggregate evaluates all instances' neighborhoods as one stack.
 """
 
 from __future__ import annotations
@@ -14,16 +15,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .losses import loss_point_fidelity
 from .nn import MlpModel, forward_batch
 from .seeding import rng_for
-from .surrogate import LinearSurrogate, predict_batch
+from .surrogate import LinearSurrogate, _predict_flat, predict_batch, surrogate_params
 
 GAUSSIAN = "gaussian"
 PATCH_DELETE = "patch_delete"
 
-SurrogateProvider = Callable[[np.ndarray, np.ndarray], LinearSurrogate]
+# Neighborhoods (P, count, d) and their black-box outputs (P, count) to
+# one flat (phi, bias) surrogate per neighborhood, shape (P, d+1).
+SurrogateProvider = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,10 @@ def neighborhood_fidelity(
 
 def global_surrogate_provider(g: LinearSurrogate) -> SurrogateProvider:
     """Provider reusing one global surrogate for every instance."""
+    params = surrogate_params(g)
 
-    def provide(x: np.ndarray, neighborhood: np.ndarray) -> LinearSurrogate:
-        return g
+    def provide(neighborhoods: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(params, (neighborhoods.shape[0], params.size))
 
     return provide
 
@@ -157,18 +161,19 @@ def gnf(
     """Aggregate neighborhood fidelity over the rows of X.
 
     Instance i's neighborhood is drawn from a seed derived from
-    (spec.seed, "gnf", i); the provider sees the instance and its
-    neighborhood and returns the surrogate to evaluate against.
+    (spec.seed, "gnf", i).  The black-box runs once over the stack of
+    neighborhoods; the provider sees the stack and those outputs and
+    returns the surrogate to evaluate against for each instance.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ShapeError(f"expected nonempty 2-d data, got shape {X.shape}")
-    terms = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        rng = rng_for(spec.seed, "gnf", i)
-        neighbors = make_neighborhood(X[i], spec, rng)
-        g = provider(X[i], neighbors)
-        terms[i] = loss_point_fidelity(
-            forward_batch(f, neighbors), predict_batch(g, neighbors)
-        )
-    return float(np.mean(terms))
+    neighbors = np.stack([
+        make_neighborhood(X[i], spec, rng_for(spec.seed, "gnf", i))
+        for i in range(X.shape[0])
+    ])
+    f_out = forward_batch(f, neighbors)
+    g_out = _predict_flat(provider(neighbors, f_out), neighbors)
+    if not (np.isfinite(f_out).all() and np.isfinite(g_out).all()):
+        raise NumericError("non-finite loss inputs")
+    return float(np.mean(np.mean((f_out - g_out) ** 2, axis=1)))

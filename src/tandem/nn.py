@@ -182,9 +182,9 @@ def _param_views(model: MlpModel, theta: np.ndarray) -> list[tuple[np.ndarray, n
 
 
 def _forward_cached(params, X: np.ndarray):
-    """Outputs, shape (N,), and the per-layer (input, pre-activation, output)
-    caches that :func:`_backward_cached` starts from.  ``params`` holds one
-    (weight, bias, activation) triple per layer; nothing is validated."""
+    """Outputs, shape (N,) or (..., N) for a stack, and the per-layer (input,
+    pre-activation, output) caches that :func:`_backward_cached` starts from.
+    ``params`` holds one (weight, bias, activation) triple per layer."""
     a = X
     caches = []
     for weight, bias, activation in params:
@@ -192,7 +192,7 @@ def _forward_cached(params, X: np.ndarray):
         a_out = _activate(z, activation)
         caches.append((a, z, a_out))
         a = a_out
-    return a[:, 0], caches
+    return a[..., 0], caches
 
 
 def _backward_cached(params, caches, upstream: np.ndarray) -> np.ndarray:
@@ -212,11 +212,15 @@ def _backward_cached(params, caches, upstream: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(model: MlpModel, X) -> np.ndarray:
-    """Model outputs for a batch, shape (N,)."""
-    X = _as_matrix(X, "batch")
-    if X.shape[1] != model.input_dim:
+    """Model outputs for a batch (N, d), shape (N,), or a stack of batches
+    (..., N, d), shape (..., N): one gemm per batch and layer, so each batch
+    is bit-identical to its own call (one reshaped batch would not be)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim < 2:
+        raise ShapeError(f"batch must be at least 2-d, got shape {X.shape}")
+    if X.shape[-1] != model.input_dim:
         raise ShapeError(
-            f"batch has {X.shape[1]} features, model expects {model.input_dim}"
+            f"batch has {X.shape[-1]} features, model expects {model.input_dim}"
         )
     out, _ = _forward_cached(_layer_params(model), X)
     return out
@@ -280,7 +284,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Moment estimates for one flat parameter vector, updated in place."""
+    """Moment estimates for one parameter array, updated in place."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -290,21 +294,23 @@ class AdamState:
         if self.step_count < 0:
             raise ValueError("step_count must be nonnegative")
         if self.first_moment.shape != self.second_moment.shape:
-            raise ShapeError("moment vectors must have equal length")
+            raise ShapeError("moment arrays must have equal shapes")
 
 
-def adam_init(n_params: int) -> AdamState:
-    return AdamState(np.zeros(int(n_params)), np.zeros(int(n_params)))
+def adam_init(shape) -> AdamState:
+    """Zero moments for parameters of ``shape``: a length or a shape tuple."""
+    return AdamState(np.zeros(shape), np.zeros(shape))
 
 
 def adam_step(params: np.ndarray, grad, state: AdamState, lr: float) -> None:
     """One Adam update with bias correction; updates in place both
-    ``params``, a float64 vector, and ``state``."""
+    ``params``, a float64 array of any shape, and ``state``.  Each row of
+    a (K, p) stack moves exactly as in K separate calls."""
     if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
         raise TypeError("params must be a float64 array, updated in place")
-    grad = _as_vector(grad, "grad")
+    grad = np.asarray(grad, dtype=np.float64)
     if params.shape != grad.shape or params.shape != state.first_moment.shape:
-        raise ShapeError("params, grad and Adam state lengths must agree")
+        raise ShapeError("params, grad and Adam state shapes must agree")
     if not np.isfinite(grad).all():
         raise NumericError("gradient has non-finite entries")
     state.step_count += 1

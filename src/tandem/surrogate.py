@@ -48,13 +48,17 @@ def surrogate_predict(g: LinearSurrogate, x) -> float:
 
 
 def _predict_flat(params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Surrogate outputs from the flat (phi, bias) vector; nothing is validated."""
-    return X @ params[:-1] + params[-1]
+    """Surrogate outputs from the flat (phi, bias) vector, or from a stack
+    (K, d+1) for batches (K, N, d), each row as its own call; not validated."""
+    return (X @ params[..., :-1, None])[..., 0] + params[..., -1:]
 
 
 def _grad_flat(X: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Fidelity gradient in flat (phi, bias) order; nothing is validated."""
-    return -(2.0 / X.shape[0]) * np.concatenate([X.T @ r, [r.sum()]])
+    """Fidelity gradient in flat (phi, bias) order, stacked as in
+    :func:`_predict_flat`; nothing is validated."""
+    coef = (np.swapaxes(X, -1, -2) @ r[..., None])[..., 0]
+    return -(2.0 / X.shape[-2]) * np.concatenate(
+        [coef, r.sum(axis=-1, keepdims=True)], axis=-1)
 
 
 def predict_batch(g: LinearSurrogate, X) -> np.ndarray:
@@ -125,10 +129,13 @@ def surrogate_to_dict(g: LinearSurrogate, feature_names) -> dict:
 
 
 def surrogate_from_dict(record: dict) -> tuple[LinearSurrogate, list[str]]:
-    if record.get("format") != SURROGATE_FORMAT:
+    if not isinstance(record, dict) or record.get("format") != SURROGATE_FORMAT:
         raise ValueError(f"not a {SURROGATE_FORMAT} record")
-    g = LinearSurrogate(np.array(record["coefficients"]), record["bias"])
-    return g, list(record["features"])
+    try:
+        g = LinearSurrogate(np.array(record["coefficients"]), record["bias"])
+        return g, list(record["features"])
+    except KeyError as exc:
+        raise ValueError(f"{SURROGATE_FORMAT} record lacks {exc}") from None
 
 
 def save_surrogate(g: LinearSurrogate, feature_names, path) -> None:

@@ -401,30 +401,47 @@ def train_jsep(
     return _joint_loop(dataset, config, JSEP, _TABLE[JSEP], init_model=init_model)
 
 
-def _fit_phi(X: np.ndarray, targets: np.ndarray,
-             config: TrainConfig) -> tuple[LinearSurrogate, list[float], str]:
-    """Full-batch Adam fit of a zero-initialised surrogate to fixed targets.
+def _fit_phi(X: np.ndarray, targets: np.ndarray, config: TrainConfig,
+             history: list[np.ndarray] | None = None) -> tuple[np.ndarray, list[str]]:
+    """Full-batch Adam fits of zero-initialised surrogates to fixed targets,
+    one per batch of the stack X (K, N, d) with targets (K, N).
 
-    Stops when the per-epoch loss decrease falls below ``phi_tol`` or after
-    ``phi_max_epochs`` epochs.  Each epoch's residual serves both its stop
-    test and the next epoch's gradient.
+    A fit stops when its per-epoch loss decrease falls below ``phi_tol`` or
+    after ``phi_max_epochs`` epochs, and leaves the working arrays, so the
+    running fits share one Adam step count and each moves as it would
+    alone.  Each epoch's residual serves both its stop test and the next
+    epoch's gradient.  Returns the (K, d+1) parameters and each fit's stop
+    reason; each epoch's losses of the running fits go to ``history``.
     """
-    phi = np.zeros(X.shape[1] + 1)
-    state = adam_init(phi.size)
-    history: list[float] = []
-    stopped = STOP_BUDGET
+    phi = np.zeros((X.shape[0], X.shape[2] + 1))
+    result = np.empty_like(phi)
+    running = np.arange(X.shape[0])
+    state = adam_init(phi.shape)
+    stopped = np.full(X.shape[0], STOP_BUDGET, dtype=object)
+    # sum / N is np.mean's arithmetic without its per-call overhead.
     residual = targets - _predict_flat(phi, X)
-    prev = float(np.mean(residual ** 2))
+    prev = (residual ** 2).sum(axis=-1) / X.shape[1]
     for _ in range(config.phi_max_epochs):
         _phi_step(phi, _grad_flat(X, residual), state, config.lr_phi)
         residual = targets - _predict_flat(phi, X)
-        cur = float(np.mean(residual ** 2))
-        history.append(cur)
-        if prev - cur < config.phi_tol:
-            stopped = STOP_STATIONARY
-            break
+        cur = (residual ** 2).sum(axis=-1) / X.shape[1]
+        if history is not None:
+            history.append(cur)
+        done = prev - cur < config.phi_tol
+        if done.any():
+            result[running[done]] = phi[done]
+            stopped[running[done]] = STOP_STATIONARY
+            keep = ~done
+            running, X, targets, residual, cur = (
+                running[keep], X[keep], targets[keep], residual[keep], cur[keep])
+            phi = phi[keep]
+            state.first_moment = state.first_moment[keep]
+            state.second_moment = state.second_moment[keep]
+            if running.size == 0:
+                break
         prev = cur
-    return surrogate_from_params(phi), history, stopped
+    result[running] = phi
+    return result, list(stopped)
 
 
 def train_stl(
@@ -441,7 +458,10 @@ def train_stl(
     model, _, phase1 = _joint_loop(dataset, config, STL, _TABLE[STL])
     X, y = subset(dataset, TRAIN)
     outputs = forward_batch(model, X)
-    g, pf_hist, stopped = _fit_phi(X, outputs, config)
+    history: list[np.ndarray] = []
+    params, (stopped,) = _fit_phi(X[None], outputs[None], config, history)
+    g = surrogate_from_params(params[0])
+    pf_hist = [float(losses[0]) for losses in history]
     final_pred = loss_pred(outputs, y, _pred_kind(dataset))
     metric, gf = _final_metrics(model, g, dataset)
     report = TrainReport(
@@ -534,13 +554,33 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> tuple[LinearSurrogate
     return surrogate_from_params(phi), report
 
 
+def _fit_local(neighborhoods: np.ndarray, targets: np.ndarray,
+               config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares linear fits to targets (K, N) over neighborhoods
+    (K, N, d): the (K, d+1) parameters and which fits were degenerate.
+
+    Full-rank designs are solved exactly, one at a time; the rank-deficient
+    ones fall back to one batched Adam fit from the zero surrogate.
+    """
+    design = np.concatenate(
+        [neighborhoods, np.ones(neighborhoods.shape[:2] + (1,))], axis=2)
+    degenerate = np.linalg.matrix_rank(design) < design.shape[2]
+    params = np.empty((design.shape[0], design.shape[2]))
+    for k in np.flatnonzero(~degenerate):
+        params[k] = np.linalg.lstsq(design[k], targets[k], rcond=None)[0]
+    if degenerate.any():
+        params[degenerate] = _fit_phi(
+            neighborhoods[degenerate], targets[degenerate], config)[0]
+    return params, degenerate
+
+
 def fit_local_surrogate(
     f: MlpModel,
     x: np.ndarray,
     neighborhood: np.ndarray,
     config: TrainConfig,
 ) -> tuple[LinearSurrogate, bool]:
-    """Least-squares linear fit to f's outputs over a perturbation set.
+    """Least-squares linear fit to f's outputs over one perturbation set.
 
     Full-rank designs are solved exactly; rank-deficient ones fall back to
     a deterministic Adam fit from the zero surrogate and are flagged as
@@ -549,21 +589,16 @@ def fit_local_surrogate(
     nb = np.asarray(neighborhood, dtype=np.float64)
     if nb.ndim != 2 or nb.shape[1] != np.asarray(x).shape[0]:
         raise ValueError("neighborhood must be rows of perturbed copies of x")
-    targets = forward_batch(f, nb)
-    design = np.column_stack([nb, np.ones(nb.shape[0])])
-    if np.linalg.matrix_rank(design) == design.shape[1]:
-        solution = np.linalg.lstsq(design, targets, rcond=None)[0]
-        return LinearSurrogate(phi=solution[:-1], bias=float(solution[-1])), False
-    g, _, _ = _fit_phi(nb, targets, config)
-    return g, True
+    params, degenerate = _fit_local(nb[None], forward_batch(f, nb)[None], config)
+    return surrogate_from_params(params[0]), bool(degenerate[0])
 
 
-def local_surrogate_provider(f: MlpModel, config: TrainConfig):
-    """Per-instance provider fitting a fresh local surrogate per neighborhood."""
+def local_surrogate_provider(config: TrainConfig):
+    """Provider fitting a fresh local surrogate to every neighborhood of
+    the stack, as one batched fit."""
 
-    def provide(x: np.ndarray, neighborhood: np.ndarray) -> LinearSurrogate:
-        g, _ = fit_local_surrogate(f, x, neighborhood, config)
-        return g
+    def provide(neighborhoods: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+        return _fit_local(neighborhoods, outputs, config)[0]
 
     return provide
 

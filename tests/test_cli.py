@@ -7,7 +7,7 @@ import pytest
 
 from tandem.cli import main
 from tandem.harness import resolve_dataset
-from tandem.nn import save_mlp
+from tandem.nn import IDENTITY, REGRESSION_SCALAR, Layer, MlpModel, save_mlp
 from tandem.surrogate import LinearSurrogate, save_surrogate
 from tandem.trainers import TrainConfig, pretrain_theta
 
@@ -94,6 +94,7 @@ def test_experiment_exit_code_counts_failures(tmp_path, descriptor_path, capsys)
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("FAILED GS") == 2
+    assert "FAILED GS seed=0: ValueError: " in err
     payload = json.loads((tmp_path / "out" / "failures.json").read_text())
     assert len(payload["failures"]) == 2
 
@@ -129,6 +130,8 @@ BAD_SPECS = {
     "unknown gnf key": ({"gnf": {"pointz": 5}}, "pointz"),
     "zero gnf points": ({"gnf": {"points": 0}}, "points"),
     "unknown spec key": ({"seedz": [0]}, "seedz"),
+    "methods not a list": ({"methods": 5}, "methods"),
+    "seeds not a list": ({"seeds": "0"}, "seeds"),
     "missing spec file": (None, "absent.json"),
 }
 
@@ -171,6 +174,34 @@ def test_explain_subcommand_ranks_coefficients(tmp_path, capsys):
     assert "hours" in stdout and "capital" in stdout and "age" not in stdout
 
 
+def explain_input(tmp_path, case):
+    path = tmp_path / "g.json"
+    if case == "bad json":
+        path.write_text("{not json")
+    elif case == "not an object":
+        path.write_text("[1, 2]")
+    elif case == "missing key":
+        path.write_text(json.dumps({"format": "tandem-surrogate", "bias": 0.0}))
+    elif case == "foreign record":
+        save_mlp(MlpModel((Layer(np.ones((1, 2)), np.zeros(1), IDENTITY),),
+                          REGRESSION_SCALAR), str(path))
+    return path
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing file", "g.json"),
+    ("bad json", "Expecting"),
+    ("foreign record", "not a tandem-surrogate record"),
+    ("not an object", "not a tandem-surrogate record"),
+    ("missing key", "lacks 'coefficients'"),
+])
+def test_explain_bad_input_reports_failure(tmp_path, capsys, case, message):
+    code = main(["explain", "--surrogate", str(explain_input(tmp_path, case))])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("explain failed: ") and message in err
+
+
 def test_gnf_subcommand_local_and_global(tmp_path, descriptor_path, capsys):
     dataset = resolve_dataset(DESCRIPTOR, seed=0)
     model = pretrain_theta(dataset, TrainConfig(
@@ -202,6 +233,7 @@ def test_gnf_subcommand_local_and_global(tmp_path, descriptor_path, capsys):
     ([], dict(DESCRIPTOR, d=5), "batch has 5 features, model expects 3"),
     (["--kind", "patch_delete"], DESCRIPTOR, "image_dims"),
     (["--points", "0"], DESCRIPTOR, "points"),
+    (["--surrogate", "absent.json"], DESCRIPTOR, "absent.json"),
 ])
 def test_gnf_bad_input_reports_failure(tmp_path, capsys, extra, descriptor, message):
     dataset = resolve_dataset(DESCRIPTOR, seed=0)

@@ -407,13 +407,34 @@ def test_scatter_emission_round_trips_schema(tmp_path, scan):
 def test_write_failures_lists_every_failure(tmp_path):
     from tandem.harness import RunFailure
 
-    failures = [RunFailure("toy", "GS", 0, "alpha required")]
+    failures = [RunFailure("toy", "GS", 0, "alpha required", "ValueError")]
     write_failures(failures, str(tmp_path))
     payload = json.loads((tmp_path / "failures.json").read_text())
     assert payload == {
         "failures": [{"dataset": "toy", "method": "GS", "seed": 0,
-                      "error": "alpha required"}]
+                      "error": "alpha required", "error_type": "ValueError"}]
     }
+
+
+def test_failures_keep_the_exception_type(tmp_path):
+    spec = quick_spec(tmp_path, [{"method": GS}, {"method": MOO}], [0])
+    _, _, failures = run_experiment(spec)
+    assert [(f.method, f.error_type) for f in failures] == [(GS, "ValueError")]
+
+    missing = spec_from_dict({
+        "dataset": {"kind": "csv", "path": "absent.csv",
+                    "columns": [{"name": "y", "kind": "target"}]},
+        "methods": [{"method": MOO}], "seeds": [0, 1],
+        "output_dir": str(tmp_path / "out"),
+    }, str(tmp_path))
+    _, _, failures = run_experiment(missing)
+    assert {f.error_type for f in failures} == {"FileNotFoundError"}
+    _, failures = pareto_scan(missing)
+    assert [(f.method, f.error_type) for f in failures] == (
+        [("dataset", "FileNotFoundError")] * 2)
+    write_failures(failures, str(tmp_path))
+    payload = json.loads((tmp_path / "failures.json").read_text())
+    assert {f["error_type"] for f in payload["failures"]} == {"FileNotFoundError"}
 
 
 def test_gnf_settings_defaults():

@@ -175,6 +175,12 @@ def test_adam_rejects_non_finite_gradient():
 def test_adam_rejects_mismatched_state():
     with pytest.raises(ShapeError):
         adam_step(np.zeros(2), np.zeros(2), adam_init(3), lr=0.1)
+    with pytest.raises(ShapeError):
+        adam_step(np.zeros((2, 3)), np.zeros((2, 3)), adam_init(6), lr=0.1)
+    with pytest.raises(ShapeError):
+        adam_step(np.zeros((2, 3)), np.zeros((3, 2)), adam_init((2, 3)), lr=0.1)
+    with pytest.raises(ShapeError):
+        AdamState(np.zeros((2, 3)), np.zeros(6))
 
 
 def test_adam_rejects_params_it_cannot_update_in_place():
@@ -182,6 +188,11 @@ def test_adam_rejects_params_it_cannot_update_in_place():
         adam_step([0.0, 0.0], np.zeros(2), adam_init(2), lr=0.1)
     with pytest.raises(TypeError):
         adam_step(np.zeros(2, dtype=np.float32), np.zeros(2), adam_init(2), lr=0.1)
+    with pytest.raises(TypeError):
+        adam_step([[0.0], [0.0]], np.zeros((2, 1)), adam_init((2, 1)), lr=0.1)
+    with pytest.raises(TypeError):
+        adam_step(np.zeros((2, 1), dtype=np.float32), np.zeros((2, 1)),
+                  adam_init((2, 1)), lr=0.1)
 
 
 def test_adam_state_rejects_negative_step_count():
@@ -208,6 +219,51 @@ def test_in_place_adam_equals_functional_reference(n, steps, lr, seed):
     assert np.array_equal(state.first_moment, ref_state[0])
     assert np.array_equal(state.second_moment, ref_state[1])
     assert state.step_count == ref_state[2] == steps
+
+
+@given(
+    k=st.integers(1, 8),
+    n=st.integers(1, 20),
+    steps=st.integers(1, 25),
+    lr=st.floats(1e-6, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_adam_equals_independent_references(k, n, steps, lr, seed):
+    rng = np.random.default_rng(seed)
+    params = rng.standard_normal((k, n))
+    refs = [(params[i].copy(), reference_adam_init(n)) for i in range(k)]
+    state = adam_init((k, n))
+    for _ in range(steps):
+        grad = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-8, 8, (k, 1))
+        adam_step(params, grad, state, lr)
+        refs = [reference_adam(ref, grad[i], ref_state, lr)
+                for i, (ref, ref_state) in enumerate(refs)]
+    for i, (ref, (m, v, t)) in enumerate(refs):
+        assert np.array_equal(params[i], ref)
+        assert np.array_equal(state.first_moment[i], m)
+        assert np.array_equal(state.second_moment[i], v)
+        assert state.step_count == t == steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    input_dim=st.integers(1, 12),
+    hidden=st.lists(st.integers(1, 40), min_size=0, max_size=3),
+    batches=st.integers(1, 60),
+    rows=st.integers(1, 40),
+    output_kind=st.sampled_from([REGRESSION_SCALAR, BINARY_PROBABILITY]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_forward_equals_per_batch_forward(
+    input_dim, hidden, batches, rows, output_kind, seed
+):
+    rng = np.random.default_rng(seed)
+    model = init_mlp(input_dim, tuple(hidden), output_kind, rng)
+    stack = rng.standard_normal((batches, rows, input_dim))
+    out = forward_batch(model, stack)
+    assert out.shape == (batches, rows)
+    for i in range(batches):
+        assert np.array_equal(out[i], forward_batch(model, stack[i]))
 
 
 def test_param_count_follows_layer_dimensions():

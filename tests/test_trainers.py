@@ -17,6 +17,13 @@ from tandem.losses import (
     loss_pred,
     upstream_derivative,
 )
+from tandem.metrics import (
+    GAUSSIAN,
+    PATCH_DELETE,
+    NeighborhoodSpec,
+    gnf,
+    make_neighborhood,
+)
 from tandem.moo import combine_direction, is_pareto_stationary, solve_alpha
 from tandem.nn import (
     BINARY_PROBABILITY,
@@ -34,6 +41,7 @@ from tandem.nn import (
 )
 from tandem.seeding import rng_for
 from tandem.surrogate import (
+    LinearSurrogate,
     init_surrogate,
     predict_batch,
     surrogate_from_params,
@@ -54,6 +62,7 @@ from tandem.trainers import (
     UNI,
     TrainConfig,
     fit_local_surrogate,
+    local_surrogate_provider,
     pretrain_theta,
     report_to_dict,
     run_method,
@@ -669,6 +678,84 @@ def test_local_fit_is_deterministic():
     g_b, _ = fit_local_surrogate(f, x, neighborhood, cfg)
     assert np.array_equal(g_a.phi, g_b.phi)
     assert g_a.bias == g_b.bias
+
+
+def reference_local_gnf(f, X, spec, config):
+    """Local GNF one instance at a time with the public per-call API:
+    returns each instance's surrogate parameters, its Adam fit's
+    (epochs, stop reason) or None for an exact fit, and the GNF."""
+    params, fits, terms = [], [], []
+    for i in range(X.shape[0]):
+        neighbors = make_neighborhood(X[i], spec, rng_for(spec.seed, "gnf", i))
+        targets = forward_batch(f, neighbors)
+        design = np.column_stack([neighbors, np.ones(neighbors.shape[0])])
+        if np.linalg.matrix_rank(design) == design.shape[1]:
+            solution = np.linalg.lstsq(design, targets, rcond=None)[0]
+            g, fit = LinearSurrogate(solution[:-1], solution[-1]), None
+        else:
+            g, history, stopped = reference_fit_phi(neighbors, targets, config)
+            fit = (len(history), stopped)
+        params.append(surrogate_params(g))
+        fits.append(fit)
+        terms.append(loss_point_fidelity(targets, predict_batch(g, neighbors)))
+    return np.array(params), fits, float(np.mean(terms))
+
+
+def batched_local_params(f, X, spec, config):
+    """The local provider's parameters for the stacked neighborhoods of X,
+    with the network run once per neighborhood."""
+    neighbors = np.stack([make_neighborhood(X[i], spec, rng_for(spec.seed, "gnf", i))
+                          for i in range(X.shape[0])])
+    outputs = np.stack([forward_batch(f, nb) for nb in neighbors])
+    return local_surrogate_provider(config)(neighbors, outputs)
+
+
+# Six instances with four features.  At four neighbors per instance every
+# design is rank-deficient; at this tolerance and budget the Adam fits stop
+# at different epochs and one runs to phi_max_epochs.
+LOCAL_CONFIG = TrainConfig(method=MOO, seed=0, lr_phi=1e-2, phi_max_epochs=200,
+                           phi_tol=1e-7)
+LOCAL_X = np.random.default_rng(7).standard_normal((6, 4))
+
+
+@pytest.mark.parametrize("output_kind", [REGRESSION_SCALAR, BINARY_PROBABILITY])
+def test_batched_degenerate_local_fits_match_per_instance_reference(output_kind):
+    f = init_mlp(4, (6,), output_kind, rng_for(2, "init-theta"))
+    spec = NeighborhoodSpec(kind=GAUSSIAN, count=4, sigma2=0.3, seed=5)
+    ref_params, fits, ref_gnf = reference_local_gnf(f, LOCAL_X, spec, LOCAL_CONFIG)
+    assert None not in fits
+    assert len({epochs for epochs, _ in fits}) > 2
+    assert {stopped for _, stopped in fits} == {STOP_STATIONARY, STOP_BUDGET}
+    params = batched_local_params(f, LOCAL_X, spec, LOCAL_CONFIG)
+    assert np.array_equal(params, ref_params)
+    assert gnf(f, local_surrogate_provider(LOCAL_CONFIG), LOCAL_X, spec) == ref_gnf
+
+
+@pytest.mark.parametrize("output_kind", [REGRESSION_SCALAR, BINARY_PROBABILITY])
+def test_batched_full_rank_local_fits_match_per_instance_reference(output_kind):
+    f = init_mlp(4, (6,), output_kind, rng_for(2, "init-theta"))
+    spec = NeighborhoodSpec(kind=GAUSSIAN, count=12, sigma2=0.3, seed=5)
+    ref_params, fits, ref_gnf = reference_local_gnf(f, LOCAL_X, spec, LOCAL_CONFIG)
+    assert set(fits) == {None}
+    params = batched_local_params(f, LOCAL_X, spec, LOCAL_CONFIG)
+    assert np.array_equal(params, ref_params)
+    assert gnf(f, local_surrogate_provider(LOCAL_CONFIG), LOCAL_X, spec) == ref_gnf
+
+
+@pytest.mark.parametrize("output_kind", [REGRESSION_SCALAR, BINARY_PROBABILITY])
+def test_batched_mixed_local_fits_match_per_instance_reference(output_kind):
+    # 3x3 images; an instance with a zero pixel has an all-zero design
+    # column, so patch deletion gives degenerate and full-rank fits at once.
+    f = init_mlp(9, (5,), output_kind, rng_for(3, "init-theta"))
+    X = np.random.default_rng(4).uniform(0.1, 1.0, (6, 9))
+    X[::2, 0] = 0.0
+    spec = NeighborhoodSpec(kind=PATCH_DELETE, count=16, patch_size=1,
+                            num_patches=2, image_dims=(3, 3), seed=6)
+    ref_params, fits, ref_gnf = reference_local_gnf(f, X, spec, LOCAL_CONFIG)
+    assert None in fits and any(fit is not None for fit in fits)
+    params = batched_local_params(f, X, spec, LOCAL_CONFIG)
+    assert np.array_equal(params, ref_params)
+    assert gnf(f, local_surrogate_provider(LOCAL_CONFIG), X, spec) == ref_gnf
 
 
 # -- dispatch and reports -----------------------------------------------------
