@@ -99,12 +99,8 @@ from .trainers import (
     TrainReport,
     fit_local_surrogate,
     run_method,
-    train_jdist,
-    train_joint_moo,
-    train_jsep,
     train_linear,
     train_stl,
-    train_weighted,
 )
 
 __version__ = "0.1.0"

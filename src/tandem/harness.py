@@ -26,8 +26,6 @@ from .data import (
     load_idx,
     make_synthetic,
     split,
-    subset,
-    TEST,
 )
 from .errors import DataError
 from .metrics import (
@@ -45,11 +43,10 @@ from .trainers import (
     MOO,
     TrainConfig,
     TrainReport,
+    _eval_rows,
     local_surrogate_provider,
     report_to_dict,
     run_method,
-    train_joint_moo,
-    train_weighted,
 )
 
 RESULTS_SCHEMA = "tandem-results"
@@ -154,6 +151,8 @@ _SPEC_KEYS = frozenset(
 
 
 def spec_from_dict(raw: dict, base_dir: str = ".") -> ExperimentSpec:
+    if not isinstance(raw, dict):
+        raise DataError("spec must be an object")
     unknown = set(raw) - _SPEC_KEYS
     if unknown:
         raise DataError(f"unknown experiment spec keys: {sorted(unknown)}")
@@ -169,13 +168,19 @@ def spec_from_dict(raw: dict, base_dir: str = ".") -> ExperimentSpec:
         gnf_settings = GnfSettings(**raw.get("gnf", {}))
     except TypeError as exc:
         raise DataError(f"bad gnf settings: {exc}") from None
-    for key in ("methods", "seeds"):
-        if not isinstance(raw.get(key, []), list):
-            raise DataError(f"spec {key} must be a list")
+    for key, kind, what in (("methods", list, "a list"), ("seeds", list, "a list"),
+                            ("metrics", list, "a list"), ("config", dict, "an object"),
+                            ("output_dir", str, "a string")):
+        if not isinstance(raw.get(key, kind()), kind):
+            raise DataError(f"spec {key} must be {what}")
+    if not all(isinstance(entry, dict) for entry in raw.get("methods", [])):
+        raise DataError("spec methods must be objects")
+    if not all(type(seed) is int for seed in raw.get("seeds", [])):
+        raise DataError("spec seeds must be integers")
     return ExperimentSpec(
         dataset=dataset,
         methods=tuple(raw.get("methods", ())),
-        seeds=tuple(int(s) for s in raw.get("seeds", ())),
+        seeds=tuple(raw.get("seeds", ())),
         metrics=tuple(raw.get("metrics", (TASK_METRIC, GF_METRIC))),
         gnf=gnf_settings,
         output_dir=raw.get("output_dir", "out"),
@@ -300,10 +305,7 @@ def evaluate_gnf(
     """
     if model is None:
         return None
-    X, _ = subset(dataset, TEST)
-    if X.shape[0] == 0:
-        X = dataset.features
-    X = X[: settings.points]
+    X = _eval_rows(dataset)[0][: settings.points]
     spec = _neighborhood_spec(settings, dataset, seed)
     if settings.local:
         provider = local_surrogate_provider(config)
@@ -467,6 +469,7 @@ def pareto_scan(
     base = dict(spec.base_config or {})
     base.pop("method", None)
     base.pop("alpha", None)
+    entries = [{"method": MOO}] + [{"method": GS, "alpha": a} for a in PARETO_ALPHAS]
     points: list[ScatterPoint] = []
     failures: list[RunFailure] = []
 
@@ -477,19 +480,14 @@ def pareto_scan(
             failures.append(_failure(name, "dataset", seed, exc))
             continue
         seed_points: list[tuple[str, float | None, TrainReport]] = []
-        config = build_config({"method": MOO}, base, seed)
-        try:
-            _, _, report = train_joint_moo(dataset, config)
-            seed_points.append((MOO, None, report))
-        except Exception as exc:
-            failures.append(_failure(name, MOO, seed, exc))
-        for alpha in PARETO_ALPHAS:
-            config = build_config({"method": GS, "alpha": alpha}, base, seed)
+        for entry in entries:
+            config = build_config(entry, base, seed)
+            label = method_label(config)
             try:
-                _, _, report = train_weighted(dataset, config)
-                seed_points.append((method_label(config), alpha, report))
+                _, _, report = run_method(dataset, config)
+                seed_points.append((label, config.alpha, report))
             except Exception as exc:
-                failures.append(_failure(name, method_label(config), seed, exc))
+                failures.append(_failure(name, label, seed, exc))
 
         losses = [
             np.asarray([_task_loss(r.task_metric, dataset.task), r.gf])

@@ -349,13 +349,16 @@ def mlp_to_dict(model: MlpModel) -> dict:
 
 
 def mlp_from_dict(record: dict) -> MlpModel:
-    if record.get("format") != MLP_FORMAT:
+    if not isinstance(record, dict) or record.get("format") != MLP_FORMAT:
         raise ValueError(f"not a {MLP_FORMAT} record")
-    layers = tuple(
-        Layer(np.array(l["weight"]), np.array(l["bias"]), l["activation"])
-        for l in record["layers"]
-    )
-    return MlpModel(layers, record["output_kind"])
+    try:
+        layers = tuple(
+            Layer(np.array(l["weight"]), np.array(l["bias"]), l["activation"])
+            for l in record["layers"]
+        )
+        return MlpModel(layers, record["output_kind"])
+    except KeyError as exc:
+        raise ValueError(f"{MLP_FORMAT} record lacks {exc}") from None
 
 
 def save_mlp(model: MlpModel, path) -> None:

@@ -6,6 +6,8 @@ the black-box along a method-specific combination of the predictive and
 fidelity gradients.  The min-norm solver picks that combination adaptively;
 the weighted baselines fix it by schedule; the ablations decouple or
 distill.  Stationarity is checked once per epoch on full-batch gradients.
+Each joint method is one row of a method table, and ``run_method`` trains
+every method, joint or not.
 
 While a fit runs, the network and the surrogate are flat vectors stepped
 in place by Adam; their model objects are built once, when it returns.
@@ -16,7 +18,7 @@ rows when the dataset has no test rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,26 +205,38 @@ class _JointMethod:
     ``weight`` is the rule for the weight on the predictive gradient:
     MIN_NORM solves for it each step, CONSTANT uses ``alpha``, UNIFORM
     draws it fresh each step, PRED_ONLY follows the predictive gradient
-    alone.  With a ``teacher``, ``dist_weight`` times the gradient of the
-    distillation loss toward the teacher's outputs is added to the
-    predictive gradient.  Without ``update_phi`` the surrogate stays at
-    zero and the run skips the stationarity check, running to budget.
+    alone.  With a ``teacher``, the gradient of the distillation loss
+    toward the teacher's outputs is added to the predictive gradient.
+    Without ``update_phi`` the surrogate stays at zero and the run skips
+    the stationarity check, running to budget.
     """
 
     weight: str
     alpha: float = 0.5
     update_phi: bool = True
     teacher: MlpModel | None = None
-    dist_weight: float = 1.0
 
 
 _TABLE = {
     MOO: _JointMethod(MIN_NORM),
     UNI: _JointMethod(CONSTANT, alpha=0.5),
+    GS: _JointMethod(CONSTANT),
     RND: _JointMethod(UNIFORM),
     JSEP: _JointMethod(PRED_ONLY),
+    JDIST: _JointMethod(CONSTANT, alpha=0.5),
     STL: _JointMethod(PRED_ONLY, update_phi=False),
 }
+
+
+def _joint_method(config: TrainConfig, teacher: MlpModel | None = None) -> _JointMethod:
+    """The table entry for ``config.method``, with GS's configured weight
+    and JDIST's ``teacher`` filled in."""
+    method = _TABLE[config.method]
+    if config.method == GS:
+        return replace(method, alpha=config.alpha)
+    if config.method == JDIST:
+        return replace(method, teacher=teacher)
+    return method
 
 
 def _direction(method: _JointMethod, g_first: np.ndarray, g_pf: np.ndarray,
@@ -248,7 +262,6 @@ def _phi_step(phi: np.ndarray, grad: np.ndarray, state, lr: float) -> None:
 def _joint_loop(
     dataset: Dataset,
     config: TrainConfig,
-    method_tag: str,
     method: _JointMethod,
     init_model: MlpModel | None = None,
 ) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
@@ -262,6 +275,7 @@ def _joint_loop(
     gradients and one Adam step moves ``theta``.  Per epoch: record
     full-batch losses and, when the surrogate is trained, stop if the
     full-batch gradient pair from that same forward is Pareto stationary.
+    The report is tagged ``config.method``.
     """
     X, y = subset(dataset, TRAIN)
     kind = _pred_kind(dataset)
@@ -288,7 +302,7 @@ def _joint_loop(
         if t_all is not None:
             g_dist = _backward_cached(
                 params, caches, upstream_derivative(f_out, t_all[rows], DISTILL))
-            g_first = g_pred + method.dist_weight * g_dist
+            g_first = g_pred + g_dist
         g_pf = _backward_cached(
             params, caches, upstream_derivative(f_out, g_out, POINT_FIDELITY))
         return g_pred, g_first, g_pf
@@ -338,7 +352,7 @@ def _joint_loop(
     g = surrogate_from_params(phi)
     metric, gf = _final_metrics(model, g, dataset)
     report = TrainReport(
-        method=method_tag,
+        method=config.method,
         seed=config.seed,
         loss_pred_history=tuple(pred_hist),
         loss_pf_history=tuple(pf_hist),
@@ -351,54 +365,6 @@ def _joint_loop(
         min_dot_pf=float(min_dot_pf),
     )
     return model, g, report
-
-
-def train_joint_moo(
-    dataset: Dataset,
-    config: TrainConfig,
-    init_model: MlpModel | None = None,
-) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
-    """Joint training with the per-step min-norm gradient combination.
-
-    Each step solves for the weight making the combined direction shortest,
-    which guarantees it is a common descent direction for both the
-    predictive and fidelity objectives until Pareto stationarity.
-    """
-    return _joint_loop(dataset, config, MOO, _TABLE[MOO], init_model=init_model)
-
-
-def train_weighted(
-    dataset: Dataset,
-    config: TrainConfig,
-    init_model: MlpModel | None = None,
-) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
-    """Scalarized joint training with a fixed or sampled weight.
-
-    The method tag picks the weight: UNI uses the constant 0.5, GS the
-    configured alpha, RND a fresh uniform draw per step.  The loop is
-    otherwise identical to the min-norm trainer.
-    """
-    if config.method == GS:
-        method = _JointMethod(CONSTANT, alpha=config.alpha)
-    elif config.method in (UNI, RND):
-        method = _TABLE[config.method]
-    else:
-        raise ValueError(f"no weight rule for method {config.method!r}")
-    return _joint_loop(dataset, config, config.method, method, init_model=init_model)
-
-
-def train_jsep(
-    dataset: Dataset,
-    config: TrainConfig,
-    init_model: MlpModel | None = None,
-) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
-    """Decoupled ablation: each model follows only its own loss.
-
-    The black-box sees only the predictive gradient, so its trajectory
-    matches predictive-only training step for step; the surrogate chases it
-    with the usual fidelity updates.
-    """
-    return _joint_loop(dataset, config, JSEP, _TABLE[JSEP], init_model=init_model)
 
 
 def _fit_phi(X: np.ndarray, targets: np.ndarray, config: TrainConfig,
@@ -455,7 +421,7 @@ def train_stl(
     weight 1.0, phase-2 epochs with weight 0.0; ``stopped_reason`` reports
     the phase-2 outcome, with "stationary" meaning the tolerance was met.
     """
-    model, _, phase1 = _joint_loop(dataset, config, STL, _TABLE[STL])
+    model, _, phase1 = _joint_loop(dataset, config, _TABLE[STL])
     X, y = subset(dataset, TRAIN)
     outputs = forward_batch(model, X)
     history: list[np.ndarray] = []
@@ -478,31 +444,6 @@ def train_stl(
         min_dot_pf=phase1.min_dot_pf,
     )
     return model, g, report
-
-
-def pretrain_theta(dataset: Dataset, config: TrainConfig) -> MlpModel:
-    """Predictive-only training of the black-box (no surrogate fitting)."""
-    model, _, _ = _joint_loop(dataset, config, STL, _TABLE[STL])
-    return model
-
-
-def train_jdist(
-    dataset: Dataset,
-    config: TrainConfig,
-    teacher: MlpModel,
-    dist_weight: float = 1.0,
-) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
-    """Distillation ablation: a student copy of a trained teacher.
-
-    The student minimizes 0.5*(L_pred + dist_weight*L_dist) + 0.5*L_PF by
-    plain scalarized steps, with the squared-difference distillation term
-    pulling it toward the teacher's outputs.  With dist_weight 0 the update
-    equals the uniform-weight baseline started from the teacher.
-    """
-    if dist_weight < 0:
-        raise ValueError("dist_weight must be nonnegative")
-    method = _JointMethod(CONSTANT, alpha=0.5, teacher=teacher, dist_weight=dist_weight)
-    return _joint_loop(dataset, config, JDIST, method, init_model=teacher)
 
 
 def train_linear(dataset: Dataset, config: TrainConfig) -> tuple[LinearSurrogate, TrainReport]:
@@ -606,24 +547,19 @@ def local_surrogate_provider(config: TrainConfig):
 def run_method(
     dataset: Dataset, config: TrainConfig
 ) -> tuple[MlpModel | None, LinearSurrogate, TrainReport]:
-    """Dispatch one training run by the config's method tag.
+    """Train one run of ``config.method``.
 
-    The distillation ablation first trains its teacher with a
-    predictive-only run at the same seed.  The linear method returns None
-    for the black-box slot.
+    LINEAR and STL run their own procedures; every other method runs the
+    joint loop with its table entry.  JDIST first trains its teacher with
+    a predictive-only run at the same seed and starts from it.  The linear
+    method returns None for the black-box slot.
     """
-    if config.method == MOO:
-        return train_joint_moo(dataset, config)
-    if config.method == STL:
-        return train_stl(dataset, config)
-    if config.method in (UNI, GS, RND):
-        return train_weighted(dataset, config)
-    if config.method == JSEP:
-        return train_jsep(dataset, config)
-    if config.method == JDIST:
-        teacher = pretrain_theta(dataset, config)
-        return train_jdist(dataset, config, teacher)
     if config.method == LINEAR:
         g, report = train_linear(dataset, config)
         return None, g, report
-    raise ValueError(f"unknown method {config.method!r}")
+    if config.method == STL:
+        return train_stl(dataset, config)
+    teacher = None
+    if config.method == JDIST:
+        teacher, _, _ = _joint_loop(dataset, config, _TABLE[STL])
+    return _joint_loop(dataset, config, _joint_method(config, teacher), init_model=teacher)

@@ -9,7 +9,7 @@ from tandem.cli import main
 from tandem.harness import resolve_dataset
 from tandem.nn import IDENTITY, REGRESSION_SCALAR, Layer, MlpModel, save_mlp
 from tandem.surrogate import LinearSurrogate, save_surrogate
-from tandem.trainers import TrainConfig, pretrain_theta
+from tandem.trainers import TrainConfig, run_method
 
 DESCRIPTOR = {"kind": "synthetic", "generator": "nonlinear", "n": 80, "d": 3,
               "noise": 0.1}
@@ -132,6 +132,11 @@ BAD_SPECS = {
     "unknown spec key": ({"seedz": [0]}, "seedz"),
     "methods not a list": ({"methods": 5}, "methods"),
     "seeds not a list": ({"seeds": "0"}, "seeds"),
+    "metrics not a list": ({"metrics": 5}, "metrics"),
+    "method not an object": ({"methods": [5]}, "methods"),
+    "config not an object": ({"config": 5}, "config"),
+    "seed not an integer": ({"seeds": ["a"]}, "seeds"),
+    "output_dir not a string": ({"output_dir": 5}, "output_dir"),
     "missing spec file": (None, "absent.json"),
 }
 
@@ -204,7 +209,7 @@ def test_explain_bad_input_reports_failure(tmp_path, capsys, case, message):
 
 def test_gnf_subcommand_local_and_global(tmp_path, descriptor_path, capsys):
     dataset = resolve_dataset(DESCRIPTOR, seed=0)
-    model = pretrain_theta(dataset, TrainConfig(
+    model, _, _ = run_method(dataset, TrainConfig(
         method="STL", seed=0, max_epochs=5, batch_size=64, hidden=(4,),
     ))
     model_path = tmp_path / "model.json"
@@ -237,7 +242,7 @@ def test_gnf_subcommand_local_and_global(tmp_path, descriptor_path, capsys):
 ])
 def test_gnf_bad_input_reports_failure(tmp_path, capsys, extra, descriptor, message):
     dataset = resolve_dataset(DESCRIPTOR, seed=0)
-    model = pretrain_theta(dataset, TrainConfig(
+    model, _, _ = run_method(dataset, TrainConfig(
         method="STL", seed=0, max_epochs=1, batch_size=64, hidden=(4,),
     ))
     model_path = tmp_path / "model.json"
@@ -247,6 +252,20 @@ def test_gnf_bad_input_reports_failure(tmp_path, capsys, extra, descriptor, mess
 
     code = main(["gnf", "--dataset", str(descriptor_path), "--model",
                  str(model_path), "--points", "3", "--count", "4", *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gnf failed: ") and message in err
+
+
+@pytest.mark.parametrize("record, message", [
+    ([1], "not a tandem-mlp record"),
+    ({"format": "tandem-mlp"}, "lacks 'layers'"),
+])
+def test_gnf_malformed_model_reports_failure(tmp_path, descriptor_path, capsys,
+                                             record, message):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(record))
+    code = main(["gnf", "--dataset", descriptor_path, "--model", str(model_path)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("gnf failed: ") and message in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -11,8 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tandem.data import CLASSIFICATION
-from tandem.errors import DataError
+from tandem.errors import DataError, TandemError
 from tandem.harness import (
+    KNOWN_METRICS,
     ExperimentSpec,
     GnfSettings,
     ResultRow,
@@ -467,6 +469,50 @@ def test_spec_rejects_malformed_gnf_block(gnf):
     with pytest.raises(DataError, match="gnf"):
         spec_from_dict({"dataset": dict(SYNTH), "methods": [{"method": MOO}],
                         "seeds": [0], "gnf": gnf})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def keyed(keys):
+    """JSON objects whose keys are mostly drawn from ``keys``."""
+    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=6),
+                           JSON_VALUES, max_size=4)
+
+
+SPEC_DICTS = st.fixed_dictionaries({}, optional={
+    # A descriptor object only: a string would be read as a file path.
+    "dataset": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["synthetic", "csv", "idx"]) | JSON_VALUES}
+    ) | keyed(["kind", "generator", "n", "d"]),
+    "methods": st.lists(keyed(["method", "alpha"]) | JSON_VALUES, max_size=3)
+    | JSON_VALUES,
+    "seeds": st.lists(st.integers(0, 9) | JSON_VALUES, max_size=3) | JSON_VALUES,
+    "metrics": st.lists(st.sampled_from(KNOWN_METRICS) | JSON_VALUES, max_size=3)
+    | JSON_VALUES,
+    "gnf": keyed([f.name for f in dataclasses.fields(GnfSettings)]) | JSON_VALUES,
+    "output_dir": st.text(max_size=6) | JSON_VALUES,
+    "config": keyed(["max_epochs", "hidden"]) | JSON_VALUES,
+    "seedz": JSON_VALUES,
+})
+
+
+@given(SPEC_DICTS)
+def test_any_spec_dict_parses_or_raises_tandem_error(raw):
+    try:
+        spec = spec_from_dict(raw)
+    except TandemError:
+        return
+    assert all(isinstance(entry, dict) for entry in spec.methods)
+    assert all(type(seed) is int for seed in spec.seeds)
+    assert set(spec.metrics) <= set(KNOWN_METRICS)
+    assert isinstance(spec.output_dir, str)
+    assert spec.base_config is None or isinstance(spec.base_config, dict)
 
 
 LABELS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)

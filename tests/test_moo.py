@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tandem.errors import ShapeError
 from tandem.moo import (
     DEFAULT_STATIONARITY_TOL,
+    DEGENERATE_DENOM,
     AlphaSolution,
     combine_direction,
     dominates,
@@ -160,3 +163,23 @@ def test_dominates_requires_strict_improvement_somewhere():
     a = np.array([0.2, 0.2])
     assert not dominates(a, a.copy())
     assert dominates(np.array([0.2, 0.1]), a)
+
+
+COMPONENTS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+GRADIENT_PAIRS = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(*[st.lists(COMPONENTS, min_size=n, max_size=n)] * 2))
+
+
+@given(GRADIENT_PAIRS)
+def test_min_norm_direction_descends_on_both_gradients(pair):
+    """d.g1 >= |d|^2 and d.g2 >= |d|^2, up to a tolerance stated in two
+    parts: rounding, 1e-9 of |g1|^2 + |g2|^2; and, when the gradients are
+    within sqrt(DEGENERATE_DENOM) of each other and the solver takes the
+    weight 0.5 instead of solving, the |d| * sqrt(DEGENERATE_DENOM) slack
+    that choice allows."""
+    g1, g2 = (np.asarray(g, dtype=np.float64) for g in pair)
+    d = combine_direction(solve_alpha(g1, g2).alpha, g1, g2)
+    tol = (1e-9 * float(g1 @ g1 + g2 @ g2)
+           + float(np.linalg.norm(d)) * np.sqrt(DEGENERATE_DENOM))
+    assert float(d @ g1) >= float(d @ d) - tol
+    assert float(d @ g2) >= float(d @ d) - tol

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from tandem.seeding import rng_for
 
@@ -40,3 +44,25 @@ def test_negative_seed_rejected():
 def test_negative_integer_label_rejected():
     with pytest.raises(ValueError):
         rng_for(0, "gnf", -2)
+
+
+def label_tuples(length):
+    """Labels as the package uses them: a name, then ``length`` indices."""
+    return st.tuples(st.text(max_size=8),
+                     st.lists(st.integers(0, 2**32 - 1), min_size=length,
+                              max_size=length))
+
+
+# The tuples compared have equal length and indices below 2**32: a stream's
+# entropy is the seed and label codes as 32-bit words, so a trailing zero
+# index, or an index split into two words, would name another tuple's stream.
+@given(st.integers(0, 2**32 - 1),
+       st.integers(0, 2).flatmap(lambda n: st.tuples(label_tuples(n), label_tuples(n))))
+def test_streams_are_equal_for_equal_labels_and_differ_otherwise(seed, pair):
+    (name_a, idx_a), (name_b, idx_b) = pair
+    a = rng_for(seed, name_a, *idx_a).standard_normal(4)
+    assert np.array_equal(a, rng_for(seed, name_a, *idx_a).standard_normal(4))
+    codes_a = [zlib.crc32(name_a.encode("utf-8")), *idx_a]
+    codes_b = [zlib.crc32(name_b.encode("utf-8")), *idx_b]
+    assume(codes_a != codes_b)
+    assert a[0] != rng_for(seed, name_b, *idx_b).standard_normal(4)[0]

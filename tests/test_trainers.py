@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,17 +62,14 @@ from tandem.trainers import (
     STOP_STATIONARY,
     UNI,
     TrainConfig,
+    _joint_loop,
+    _joint_method,
     fit_local_surrogate,
     local_surrogate_provider,
-    pretrain_theta,
     report_to_dict,
     run_method,
-    train_jdist,
-    train_joint_moo,
-    train_jsep,
     train_linear,
     train_stl,
-    train_weighted,
 )
 
 
@@ -139,23 +137,21 @@ def test_moo_co_satisfiable_linear_targets_drive_both_losses_down():
         method=MOO, seed=0, max_epochs=2000, batch_size=32, hidden=(8,),
         lr_theta=1e-2, lr_phi=1e-4,
     )
-    _, _, report = train_joint_moo(ds, cfg)
+    _, _, report = run_method(ds, cfg)
     assert report.loss_pred_history[-1] <= 1e-3
     assert report.loss_pf_history[-1] <= 1e-3
 
 
 def test_moo_near_zero_predictive_gradient_shifts_alpha_and_reduces_fidelity():
     ds = linear_regression_dataset()
-    pre = pretrain_theta(
-        ds,
-        TrainConfig(method=STL, seed=0, max_epochs=300, batch_size=32,
-                    hidden=(8,), lr_theta=1e-2),
-    )
+    pre_cfg = TrainConfig(method=STL, seed=0, max_epochs=300, batch_size=32,
+                          hidden=(8,), lr_theta=1e-2)
+    pre, _, _ = _joint_loop(ds, pre_cfg, _joint_method(pre_cfg))
     cfg = TrainConfig(
         method=MOO, seed=0, max_epochs=60, batch_size=32, hidden=(8,),
         lr_theta=1e-3, lr_phi=1e-2,
     )
-    _, _, report = train_joint_moo(ds, cfg, init_model=pre)
+    _, _, report = _joint_loop(ds, cfg, _joint_method(cfg), init_model=pre)
     pf = report.loss_pf_history
     # the min-norm weight leans toward the vanished predictive gradient
     assert float(np.mean(report.alpha_history)) > 0.5
@@ -172,8 +168,8 @@ def test_moo_near_zero_predictive_gradient_shifts_alpha_and_reduces_fidelity():
 def test_moo_training_is_deterministic():
     ds = small_classification_dataset()
     cfg = TrainConfig(method=MOO, seed=3, **SMALL)
-    model_a, g_a, rep_a = train_joint_moo(ds, cfg)
-    model_b, g_b, rep_b = train_joint_moo(ds, cfg)
+    model_a, g_a, rep_a = run_method(ds, cfg)
+    model_b, g_b, rep_b = run_method(ds, cfg)
     assert np.array_equal(flatten_params(model_a), flatten_params(model_b))
     assert np.array_equal(g_a.phi, g_b.phi) and g_a.bias == g_b.bias
     assert report_to_dict(rep_a) == report_to_dict(rep_b)
@@ -190,7 +186,7 @@ def test_moo_zero_function_on_zero_targets_is_stationary_immediately():
         (Layer(np.zeros((1, 2)), np.zeros(1), IDENTITY),), REGRESSION_SCALAR
     )
     cfg = TrainConfig(method=MOO, seed=0, max_epochs=50, batch_size=40)
-    _, _, report = train_joint_moo(ds, cfg, init_model=zero_f)
+    _, _, report = _joint_loop(ds, cfg, _joint_method(cfg), init_model=zero_f)
     assert report.stopped_reason == STOP_STATIONARY
     assert report.epochs_run == 1
 
@@ -198,7 +194,7 @@ def test_moo_zero_function_on_zero_targets_is_stationary_immediately():
 def test_moo_direction_satisfies_recorded_descent_inequalities():
     ds = small_classification_dataset()
     cfg = TrainConfig(method=MOO, seed=1, **SMALL)
-    _, _, report = train_joint_moo(ds, cfg)
+    _, _, report = run_method(ds, cfg)
     assert report.min_dot_pred is not None and report.min_dot_pred >= -1e-12
     assert report.min_dot_pf is not None and report.min_dot_pf >= -1e-12
 
@@ -257,8 +253,8 @@ def test_uniform_equals_half_weight_grid_search():
     ds = small_classification_dataset()
     uni_cfg = TrainConfig(method=UNI, seed=4, **SMALL)
     gs_cfg = TrainConfig(method=GS, alpha=0.5, seed=4, **SMALL)
-    model_u, g_u, rep_u = train_weighted(ds, uni_cfg)
-    model_g, g_g, rep_g = train_weighted(ds, gs_cfg)
+    model_u, g_u, rep_u = run_method(ds, uni_cfg)
+    model_g, g_g, rep_g = run_method(ds, gs_cfg)
     assert np.array_equal(flatten_params(model_u), flatten_params(model_g))
     assert np.array_equal(g_u.phi, g_g.phi)
     assert rep_u.loss_pred_history == rep_g.loss_pred_history
@@ -268,7 +264,7 @@ def test_uniform_equals_half_weight_grid_search():
 
 def test_uniform_alpha_history_is_constant_half():
     ds = small_classification_dataset()
-    _, _, report = train_weighted(ds, TrainConfig(method=UNI, seed=0, **SMALL))
+    _, _, report = run_method(ds, TrainConfig(method=UNI, seed=0, **SMALL))
     assert set(report.alpha_history) == {0.5}
 
 
@@ -277,16 +273,16 @@ def test_more_predictive_weight_gives_worse_fidelity():
         ds = small_classification_dataset(seed)
         lo = TrainConfig(method=GS, alpha=0.1, seed=seed, **SMALL)
         hi = TrainConfig(method=GS, alpha=0.9, seed=seed, **SMALL)
-        _, _, rep_lo = train_weighted(ds, lo)
-        _, _, rep_hi = train_weighted(ds, hi)
+        _, _, rep_lo = run_method(ds, lo)
+        _, _, rep_hi = run_method(ds, hi)
         assert rep_hi.gf >= rep_lo.gf
 
 
 def test_random_weights_are_reproducible_and_in_range():
     ds = small_classification_dataset()
     cfg = TrainConfig(method=RND, seed=5, **SMALL)
-    _, _, rep_a = train_weighted(ds, cfg)
-    _, _, rep_b = train_weighted(ds, cfg)
+    _, _, rep_a = run_method(ds, cfg)
+    _, _, rep_b = run_method(ds, cfg)
     assert rep_a.alpha_history == rep_b.alpha_history
     alphas = np.asarray(rep_a.alpha_history)
     assert np.all((alphas >= 0.0) & (alphas <= 1.0))
@@ -299,8 +295,8 @@ def test_random_weights_are_reproducible_and_in_range():
 def test_separate_training_theta_matches_predictive_only_run():
     ds = small_classification_dataset()
     cfg = TrainConfig(method=JSEP, seed=6, **SMALL)
-    model_j, _, _ = train_jsep(ds, cfg)
-    model_p = pretrain_theta(ds, cfg)
+    model_j, _, _ = run_method(ds, cfg)
+    model_p, _, _ = run_method(ds, replace(cfg, method=STL))
     assert np.array_equal(flatten_params(model_j), flatten_params(model_p))
 
 
@@ -308,8 +304,8 @@ def test_separate_training_has_worse_fidelity_than_min_norm():
     ds = small_classification_dataset()
     cfg_m = TrainConfig(method=MOO, seed=0, **SMALL)
     cfg_j = TrainConfig(method=JSEP, seed=0, **SMALL)
-    _, _, rep_m = train_joint_moo(ds, cfg_m)
-    _, _, rep_j = train_jsep(ds, cfg_j)
+    _, _, rep_m = run_method(ds, cfg_m)
+    _, _, rep_j = run_method(ds, cfg_j)
     assert rep_j.gf >= rep_m.gf
 
 
@@ -327,7 +323,8 @@ def test_distillation_co_satisfiable_drives_all_three_terms_down():
         method=JDIST, seed=0, max_epochs=800, batch_size=32, hidden=(8,),
         lr_theta=1e-3, lr_phi=1e-2,
     )
-    model, _, report = train_jdist(ds, cfg, teacher)
+    model, _, report = _joint_loop(ds, cfg, _joint_method(cfg, teacher),
+                                   init_model=teacher)
     X_train, y_train = subset(ds, TRAIN)
     student = forward_batch(model, X_train)
     teacher_out = forward_batch(teacher, X_train)
@@ -336,24 +333,11 @@ def test_distillation_co_satisfiable_drives_all_three_terms_down():
     assert report.loss_pf_history[-1] <= 1e-3
 
 
-def test_distillation_without_distance_term_reduces_to_uniform():
-    ds = small_classification_dataset()
-    cfg = TrainConfig(method=JDIST, seed=7, **SMALL)
-    teacher = pretrain_theta(ds, TrainConfig(method=STL, seed=7, **SMALL))
-    model_d, g_d, rep_d = train_jdist(ds, cfg, teacher, dist_weight=0.0)
-    uni_cfg = TrainConfig(method=UNI, seed=7, **SMALL)
-    model_u, g_u, rep_u = train_weighted(ds, uni_cfg, init_model=teacher)
-    assert np.array_equal(flatten_params(model_d), flatten_params(model_u))
-    assert np.array_equal(g_d.phi, g_u.phi)
-    assert rep_d.loss_pred_history == rep_u.loss_pred_history
-
-
 def test_distillation_is_deterministic():
     ds = small_classification_dataset()
     cfg = TrainConfig(method=JDIST, seed=8, **SMALL)
-    teacher = pretrain_theta(ds, cfg)
-    _, _, rep_a = train_jdist(ds, cfg, teacher)
-    _, _, rep_b = train_jdist(ds, cfg, teacher)
+    _, _, rep_a = run_method(ds, cfg)
+    _, _, rep_b = run_method(ds, cfg)
     assert report_to_dict(rep_a) == report_to_dict(rep_b)
 
 
@@ -466,18 +450,19 @@ LOOP = dict(max_epochs=3, batch_size=64, hidden=(16, 8), lr_theta=3e-3, lr_phi=3
     (GS, 0.3, {"alpha": 0.3}),
     (RND, "uniform", {}),
     (JSEP, "pred-only", {}),
+    (UNI, 0.5, {}),
+    (JDIST, "distill", {}),
 ])
 def test_joint_loop_matches_per_call_reference(data, method, rule, extra):
     ds = small_classification_dataset() if data == "classification" else (
         linear_regression_dataset())
     cfg = TrainConfig(method=method, seed=4, **LOOP, **extra)
-    ref = reference_joint_loop(ds, cfg, rule)
-    if method == MOO:
-        got = train_joint_moo(ds, cfg)
-    elif method == JSEP:
-        got = train_jsep(ds, cfg)
+    if method == JDIST:
+        teacher, _, _ = reference_joint_loop(ds, cfg, "pred-only", update_phi=False)
+        ref = reference_joint_loop(ds, cfg, 0.5, init_model=teacher, teacher=teacher)
     else:
-        got = train_weighted(ds, cfg)
+        ref = reference_joint_loop(ds, cfg, rule)
+    got = run_method(ds, cfg)
     assert_same_run(ref, got)
     if "stationarity_tol" in extra:
         assert got[2].stopped_reason == STOP_STATIONARY
@@ -490,9 +475,8 @@ def test_predictive_only_and_distillation_loops_match_reference(data):
     cfg = TrainConfig(method=STL, seed=9, **LOOP)
     ref_teacher, _, ref_phase1 = reference_joint_loop(ds, cfg, "pred-only",
                                                       update_phi=False)
-    teacher = pretrain_theta(ds, cfg)
+    teacher, _, stl = run_method(ds, cfg)
     assert np.array_equal(flatten_params(teacher), flatten_params(ref_teacher))
-    _, _, stl = train_stl(ds, cfg)
     phase1 = ref_phase1["epochs_run"]
     assert stl.loss_pred_history[:phase1] == ref_phase1["loss_pred_history"]
     assert stl.loss_pf_history[:phase1] == ref_phase1["loss_pf_history"]
@@ -502,7 +486,7 @@ def test_predictive_only_and_distillation_loops_match_reference(data):
     jdist_cfg = TrainConfig(method=JDIST, seed=9, **LOOP, inner_steps=2)
     ref = reference_joint_loop(ds, jdist_cfg, 0.5, init_model=teacher,
                                teacher=teacher)
-    assert_same_run(ref, train_jdist(ds, jdist_cfg, teacher))
+    assert_same_run(ref, run_method(ds, jdist_cfg))
 
 
 def reference_fit_phi(X, targets, config):
@@ -780,7 +764,7 @@ def test_run_method_dispatches_every_method():
 def test_reports_serialize_to_json():
     ds = small_classification_dataset()
     cfg = TrainConfig(method=MOO, seed=0, max_epochs=5, batch_size=64, hidden=(8,))
-    _, _, report = train_joint_moo(ds, cfg)
+    _, _, report = run_method(ds, cfg)
     payload = json.dumps(report_to_dict(report))
     decoded = json.loads(payload)
     assert decoded["method"] == MOO
@@ -791,7 +775,7 @@ def test_reports_serialize_to_json():
 def test_classification_task_metric_is_f1_on_test_rows():
     ds = small_classification_dataset()
     cfg = TrainConfig(method=MOO, seed=0, max_epochs=5, batch_size=64, hidden=(8,))
-    model, _, report = train_joint_moo(ds, cfg)
+    model, _, report = run_method(ds, cfg)
     X_test, y_test = subset(ds, TEST)
     predicted = (forward_batch(model, X_test) >= 0.5).astype(np.float64)
     assert report.task_metric == pytest.approx(
@@ -802,7 +786,7 @@ def test_classification_task_metric_is_f1_on_test_rows():
 def test_regression_task_metric_is_mse_on_test_rows():
     ds = linear_regression_dataset()
     cfg = TrainConfig(method=MOO, seed=0, max_epochs=5, batch_size=64, hidden=(8,))
-    model, _, report = train_joint_moo(ds, cfg)
+    model, _, report = run_method(ds, cfg)
     X_test, y_test = subset(ds, TEST)
     expected = float(np.mean((forward_batch(model, X_test) - y_test) ** 2))
     assert report.task_metric == pytest.approx(expected, abs=1e-12)
