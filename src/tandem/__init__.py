@@ -56,14 +56,12 @@ from .metrics import (
     gnf,
     make_neighborhood,
     mse_metric,
-    neighborhood_fidelity,
 )
 from .moo import (
     AlphaSolution,
     combine_direction,
     dominates,
     is_pareto_stationary,
-    min_norm_direction,
     solve_alpha,
 )
 from .nn import (
@@ -77,9 +75,7 @@ from .nn import (
     init_mlp,
     load_mlp,
     mlp_backward,
-    mlp_forward,
     param_count,
-    save_mlp,
     unflatten_params,
 )
 from .seeding import rng_for
@@ -90,9 +86,7 @@ from .surrogate import (
     init_surrogate,
     load_surrogate,
     predict_batch,
-    save_surrogate,
     surrogate_grad,
-    surrogate_predict,
 )
 from .trainers import (
     TrainConfig,

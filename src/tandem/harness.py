@@ -481,9 +481,10 @@ def pareto_scan(
             continue
         seed_points: list[tuple[str, float | None, TrainReport]] = []
         for entry in entries:
-            config = build_config(entry, base, seed)
-            label = method_label(config)
+            label = entry["method"]
             try:
+                config = build_config(entry, base, seed)
+                label = method_label(config)
                 _, _, report = run_method(dataset, config)
                 seed_points.append((label, config.alpha, report))
             except Exception as exc:

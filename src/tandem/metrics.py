@@ -1,11 +1,10 @@
 """Evaluation metrics and perturbation neighborhoods.
 
 Global fidelity is the mean squared disagreement between the black-box and
-its surrogate over a dataset.  Neighborhood fidelity averages the same
-disagreement over perturbations of one instance; its dataset aggregate
-averages over instances, with each instance's perturbations drawn from a
-derived seed so results are order-independent and reproducible.  The
-aggregate evaluates all instances' neighborhoods as one stack.
+its surrogate over a dataset.  GNF averages the same disagreement over
+perturbations of each instance, then over instances, with each instance's
+perturbations drawn from a derived seed so results are order-independent
+and reproducible.  It evaluates all instances' neighborhoods as one stack.
 """
 
 from __future__ import annotations
@@ -128,18 +127,6 @@ def make_neighborhood(
             image[r:r + spec.patch_size, c:c + spec.patch_size] = 0.0
         neighbors[i] = image.reshape(-1)
     return neighbors
-
-
-def neighborhood_fidelity(
-    f: MlpModel,
-    g: LinearSurrogate,
-    x: np.ndarray,
-    spec: NeighborhoodSpec,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Mean squared f/g disagreement over one instance's neighborhood."""
-    neighbors = make_neighborhood(x, spec, rng)
-    return loss_point_fidelity(forward_batch(f, neighbors), predict_batch(g, neighbors))
 
 
 def global_surrogate_provider(g: LinearSurrogate) -> SurrogateProvider:

@@ -68,12 +68,6 @@ def combine_direction(alpha: float, g1, g2) -> np.ndarray:
     return alpha * a + (1.0 - alpha) * b
 
 
-def min_norm_direction(g1, g2) -> tuple[AlphaSolution, np.ndarray]:
-    """Solve for the optimal weight and return it with its direction."""
-    solution = solve_alpha(g1, g2)
-    return solution, combine_direction(solution.alpha, g1, g2)
-
-
 def is_pareto_stationary(g1, g2, tol: float = DEFAULT_STATIONARITY_TOL) -> bool:
     """True when the minimal-norm convex combination has norm <= tol."""
     if tol <= 0:

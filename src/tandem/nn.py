@@ -195,20 +195,32 @@ def _forward_cached(params, X: np.ndarray):
     return a[..., 0], caches
 
 
+def _layer_backward(layer, cache, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One layer's step of the backward pass.  From the loss gradient
+    ``delta`` (N, out) at the layer's output: the layer's (weight, bias)
+    gradient block in canonical flat order, and the gradient at its
+    pre-activation."""
+    _, _, activation = layer
+    a_prev, z, a_out = cache
+    delta = delta * _activation_grad(z, a_out, activation)
+    return np.concatenate([(delta.T @ a_prev).ravel(), delta.sum(axis=0)]), delta
+
+
 def _backward_cached(params, caches, upstream: np.ndarray) -> np.ndarray:
     """Vector-Jacobian product from a cached forward, in canonical flat order."""
     grads = [np.empty(0)] * len(params)
     delta = upstream[:, None]
     for k in range(len(params) - 1, -1, -1):
-        weight, _, activation = params[k]
-        a_prev, z, a_out = caches[k]
-        delta = delta * _activation_grad(z, a_out, activation)
-        dW = delta.T @ a_prev
-        db = delta.sum(axis=0)
-        grads[k] = np.concatenate([dW.ravel(), db])
+        grads[k], delta = _layer_backward(params[k], caches[k], delta)
         if k > 0:
-            delta = delta @ weight
+            delta = delta @ params[k][0]
     return np.concatenate(grads)
+
+
+def _last_layer_backward(params, caches, upstream: np.ndarray) -> np.ndarray:
+    """The last layer's block of :func:`_backward_cached`, the tail of its
+    output, bit for bit, at the cost of one layer's step."""
+    return _layer_backward(params[-1], caches[-1], upstream[:, None])[0]
 
 
 def forward_batch(model: MlpModel, X) -> np.ndarray:
@@ -224,12 +236,6 @@ def forward_batch(model: MlpModel, X) -> np.ndarray:
         )
     out, _ = _forward_cached(_layer_params(model), X)
     return out
-
-
-def mlp_forward(model: MlpModel, x) -> float:
-    """Scalar model output for a single input vector."""
-    x = _as_vector(x, "input")
-    return float(forward_batch(model, x[None, :])[0])
 
 
 def mlp_backward(model: MlpModel, X, upstream) -> np.ndarray:
@@ -352,20 +358,16 @@ def mlp_from_dict(record: dict) -> MlpModel:
     if not isinstance(record, dict) or record.get("format") != MLP_FORMAT:
         raise ValueError(f"not a {MLP_FORMAT} record")
     try:
+        entries = record["layers"]
+        if not (isinstance(entries, list) and all(isinstance(l, dict) for l in entries)):
+            raise ValueError(f"{MLP_FORMAT} layers must be a list of objects")
         layers = tuple(
             Layer(np.array(l["weight"]), np.array(l["bias"]), l["activation"])
-            for l in record["layers"]
+            for l in entries
         )
         return MlpModel(layers, record["output_kind"])
     except KeyError as exc:
         raise ValueError(f"{MLP_FORMAT} record lacks {exc}") from None
-
-
-def save_mlp(model: MlpModel, path) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(mlp_to_dict(model), fh)
 
 
 def load_mlp(path) -> MlpModel:

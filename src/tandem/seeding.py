@@ -3,9 +3,22 @@
 Every source of randomness in the package draws from a stream derived from
 (seed, *labels).  String labels are hashed with crc32, so the mapping is
 stable across processes and Python versions.  Two calls with the same seed
-and labels always produce generators with identical output, and streams with
-different labels are statistically independent, which keeps e.g. weight
+and labels always produce generators with identical output, and each
+component draws from its own stream, which keeps e.g. weight
 initialisation unaffected by how many batches another component consumed.
+
+Different label tuples do not always give different streams.  The entropy
+is the list of 32-bit words [seed, code, ...], so these collide:
+
+- a trailing zero index adds nothing: ``rng_for(3, "gnf")`` is
+  ``rng_for(3, "gnf", 0)``;
+- a seed or index of 2**32 or more spills into a second word:
+  ``rng_for(2**32)`` is ``rng_for(0, 1)``;
+- a name and its crc32 code given as an index are the same label.
+
+The package's own labels avoid all three: every stream is named by its
+own string, the one index (a GNF instance number) always follows its name,
+and no label reaches 2**32.  Seeds are not capped.
 """
 
 from __future__ import annotations

@@ -40,13 +40,6 @@ def init_surrogate(n_features: int) -> LinearSurrogate:
     return LinearSurrogate(np.zeros(int(n_features)), 0.0)
 
 
-def surrogate_predict(g: LinearSurrogate, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.n_features,):
-        raise ShapeError(f"input shape {x.shape} != ({g.n_features},)")
-    return float(g.phi @ x + g.bias)
-
-
 def _predict_flat(params: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Surrogate outputs from the flat (phi, bias) vector, or from a stack
     (K, d+1) for batches (K, N, d), each row as its own call; not validated."""
@@ -136,11 +129,6 @@ def surrogate_from_dict(record: dict) -> tuple[LinearSurrogate, list[str]]:
         return g, list(record["features"])
     except KeyError as exc:
         raise ValueError(f"{SURROGATE_FORMAT} record lacks {exc}") from None
-
-
-def save_surrogate(g: LinearSurrogate, feature_names, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(surrogate_to_dict(g, feature_names), fh)
 
 
 def load_surrogate(path) -> tuple[LinearSurrogate, list[str]]:

@@ -7,8 +7,8 @@ import pytest
 
 from tandem.cli import main
 from tandem.harness import resolve_dataset
-from tandem.nn import IDENTITY, REGRESSION_SCALAR, Layer, MlpModel, save_mlp
-from tandem.surrogate import LinearSurrogate, save_surrogate
+from tandem.nn import IDENTITY, REGRESSION_SCALAR, Layer, MlpModel, mlp_to_dict
+from tandem.surrogate import LinearSurrogate, surrogate_to_dict
 from tandem.trainers import TrainConfig, run_method
 
 DESCRIPTOR = {"kind": "synthetic", "generator": "nonlinear", "n": 80, "d": 3,
@@ -126,6 +126,26 @@ def test_pareto_scan_subcommand(tmp_path, descriptor_path, capsys):
     assert "MOO:" in stdout and "GS(0.9):" in stdout
 
 
+@pytest.mark.parametrize("config, error_type", [
+    ({"max_epochz": 1}, "DataError"),
+    ({"hidden": 5}, "TypeError"),
+])
+def test_pareto_scan_records_bad_config_as_failed_runs(tmp_path, capsys, config,
+                                                       error_type):
+    spec = tmp_path / "scan.json"
+    spec.write_text(json.dumps({
+        "dataset": DESCRIPTOR, "methods": [{"method": "MOO"}], "seeds": [0],
+        "config": config, "output_dir": str(tmp_path / "scan_out"),
+    }))
+    code = main(["pareto-scan", "--spec", str(spec)])
+    assert code == 10
+    err = capsys.readouterr().err
+    assert f"FAILED MOO seed=0: {error_type}: " in err
+    assert err.count("FAILED GS seed=0: ") == 9
+    payload = json.loads((tmp_path / "scan_out" / "failures.json").read_text())
+    assert {f["error_type"] for f in payload["failures"]} == {error_type}
+
+
 BAD_SPECS = {
     "unknown gnf key": ({"gnf": {"pointz": 5}}, "pointz"),
     "zero gnf points": ({"gnf": {"points": 0}}, "points"),
@@ -162,7 +182,7 @@ def test_bad_spec_reports_failure(tmp_path, capsys, command, case):
 def test_explain_subcommand_ranks_coefficients(tmp_path, capsys):
     g = LinearSurrogate(phi=np.array([0.1, -0.9, 0.5]), bias=0.25)
     path = tmp_path / "g.json"
-    save_surrogate(g, ("age", "hours", "capital"), str(path))
+    path.write_text(json.dumps(surrogate_to_dict(g, ("age", "hours", "capital"))))
 
     code = main(["explain", "--surrogate", str(path), "--format", "json"])
     assert code == 0
@@ -188,8 +208,8 @@ def explain_input(tmp_path, case):
     elif case == "missing key":
         path.write_text(json.dumps({"format": "tandem-surrogate", "bias": 0.0}))
     elif case == "foreign record":
-        save_mlp(MlpModel((Layer(np.ones((1, 2)), np.zeros(1), IDENTITY),),
-                          REGRESSION_SCALAR), str(path))
+        path.write_text(json.dumps(mlp_to_dict(MlpModel(
+            (Layer(np.ones((1, 2)), np.zeros(1), IDENTITY),), REGRESSION_SCALAR))))
     return path
 
 
@@ -213,7 +233,7 @@ def test_gnf_subcommand_local_and_global(tmp_path, descriptor_path, capsys):
         method="STL", seed=0, max_epochs=5, batch_size=64, hidden=(4,),
     ))
     model_path = tmp_path / "model.json"
-    save_mlp(model, str(model_path))
+    model_path.write_text(json.dumps(mlp_to_dict(model)))
 
     code = main([
         "gnf", "--dataset", descriptor_path, "--model", str(model_path),
@@ -225,7 +245,7 @@ def test_gnf_subcommand_local_and_global(tmp_path, descriptor_path, capsys):
 
     g = LinearSurrogate(phi=np.zeros(3), bias=0.0)
     surrogate_path = tmp_path / "g.json"
-    save_surrogate(g, ("x0", "x1", "x2"), str(surrogate_path))
+    surrogate_path.write_text(json.dumps(surrogate_to_dict(g, ("x0", "x1", "x2"))))
     code = main([
         "gnf", "--dataset", descriptor_path, "--model", str(model_path),
         "--surrogate", str(surrogate_path), "--points", "5", "--count", "4",
@@ -246,7 +266,7 @@ def test_gnf_bad_input_reports_failure(tmp_path, capsys, extra, descriptor, mess
         method="STL", seed=0, max_epochs=1, batch_size=64, hidden=(4,),
     ))
     model_path = tmp_path / "model.json"
-    save_mlp(model, str(model_path))
+    model_path.write_text(json.dumps(mlp_to_dict(model)))
     descriptor_path = tmp_path / "other.json"
     descriptor_path.write_text(json.dumps(descriptor))
 
@@ -260,6 +280,9 @@ def test_gnf_bad_input_reports_failure(tmp_path, capsys, extra, descriptor, mess
 @pytest.mark.parametrize("record, message", [
     ([1], "not a tandem-mlp record"),
     ({"format": "tandem-mlp"}, "lacks 'layers'"),
+    ({"format": "tandem-mlp", "layers": [1], "output_kind": "x"}, "list of objects"),
+    ({"format": "tandem-mlp", "layers": "x", "output_kind": "x"}, "list of objects"),
+    ({"format": "tandem-mlp", "layers": None, "output_kind": "x"}, "list of objects"),
 ])
 def test_gnf_malformed_model_reports_failure(tmp_path, descriptor_path, capsys,
                                              record, message):

@@ -14,7 +14,6 @@ from tandem.metrics import (
     gnf,
     make_neighborhood,
     mse_metric,
-    neighborhood_fidelity,
 )
 from tandem.nn import IDENTITY, REGRESSION_SCALAR, Layer, MlpModel, forward_batch, init_mlp
 from tandem.seeding import rng_for
@@ -176,23 +175,23 @@ def test_patch_delete_rejects_length_mismatch():
 # -- neighborhood fidelity ----------------------------------------------------
 
 
-def test_neighborhood_fidelity_zero_for_linear_f(rng):
+def test_gnf_zero_for_linear_f(rng):
     weights = rng.standard_normal(4)
     f = linear_net(weights, -0.2)
     g = LinearSurrogate(weights.copy(), -0.2)
-    x = rng.standard_normal(4)
+    X = rng.standard_normal((3, 4))
     spec = NeighborhoodSpec(kind=GAUSSIAN, count=10, sigma2=0.1, seed=5)
-    assert neighborhood_fidelity(f, g, x, spec) == pytest.approx(0.0, abs=1e-24)
+    assert gnf(f, global_surrogate_provider(g), X, spec) == pytest.approx(0.0, abs=1e-24)
 
 
-def test_neighborhood_fidelity_single_point_collapse(rng):
+def test_gnf_single_point_collapse(rng):
     f = linear_net([1.0, 0.0], 0.0)
     g = LinearSurrogate(np.array([0.0, 0.0]), 0.0)
-    x = rng.standard_normal(2)
+    X = rng.standard_normal((1, 2))
     spec = NeighborhoodSpec(kind=GAUSSIAN, count=1, sigma2=0.1, seed=6)
-    neighbors = make_neighborhood(x, spec, rng_for(6, "neighborhood"))
+    neighbors = make_neighborhood(X[0], spec, rng_for(6, "gnf", 0))
     expected = float(forward_batch(f, neighbors)[0]) ** 2
-    assert neighborhood_fidelity(f, g, x, spec) == pytest.approx(expected, abs=1e-12)
+    assert gnf(f, global_surrogate_provider(g), X, spec) == pytest.approx(expected, abs=1e-12)
 
 
 def test_gnf_matches_brute_force_double_loop(rng):

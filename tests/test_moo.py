@@ -13,7 +13,6 @@ from tandem.moo import (
     combine_direction,
     dominates,
     is_pareto_stationary,
-    min_norm_direction,
     solve_alpha,
 )
 
@@ -100,21 +99,11 @@ def test_combine_direction_rejects_alpha_outside_unit_interval():
         combine_direction(-0.1, g, g)
 
 
-def test_min_norm_direction_is_common_descent(rng):
-    for _ in range(50):
-        dim = int(rng.integers(2, 12))
-        g1 = rng.standard_normal(dim)
-        g2 = rng.standard_normal(dim)
-        solution, direction = min_norm_direction(g1, g2)
-        norm_sq = float(direction @ direction)
-        assert float(direction @ g1) >= norm_sq - 1e-12
-        assert float(direction @ g2) >= norm_sq - 1e-12
-
-
 def test_min_norm_favors_the_smaller_gradient():
     tiny = np.array([1e-6, 0.0])
     big = np.array([5.0, 5.0])
-    solution, direction = min_norm_direction(tiny, big)
+    solution = solve_alpha(tiny, big)
+    direction = combine_direction(solution.alpha, tiny, big)
     assert solution.alpha > 0.99
     assert np.linalg.norm(direction) <= np.linalg.norm(tiny) + 1e-12
 

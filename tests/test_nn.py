@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,11 +25,9 @@ from tandem.nn import (
     init_mlp,
     load_mlp,
     mlp_backward,
-    mlp_forward,
     mlp_from_dict,
     mlp_to_dict,
     param_count,
-    save_mlp,
     sigmoid,
     unflatten_params,
 )
@@ -43,7 +43,7 @@ def identity_net():
 
 
 def test_forward_identity_sum():
-    assert mlp_forward(identity_net(), np.array([2.0, 3.0])) == 5.0
+    assert forward_batch(identity_net(), np.array([[2.0, 3.0]]))[0] == 5.0
 
 
 def test_forward_sigmoid_of_zero_is_half():
@@ -51,8 +51,8 @@ def test_forward_sigmoid_of_zero_is_half():
         (Layer(np.array([[0.0, 0.0]]), np.array([0.0]), SIGMOID),),
         BINARY_PROBABILITY,
     )
-    for x in ([1.0, -4.0], [0.0, 0.0], [100.0, 3.0]):
-        assert mlp_forward(model, np.array(x)) == 0.5
+    X = np.array([[1.0, -4.0], [0.0, 0.0], [100.0, 3.0]])
+    assert np.all(forward_batch(model, X) == 0.5)
 
 
 def test_forward_two_layer_relu_matches_hand_arithmetic():
@@ -68,7 +68,7 @@ def test_forward_two_layer_relu_matches_hand_arithmetic():
     h1 = max(0.0, 1.0 * 0.4 + (-1.0) * (-0.7) + 0.1)
     h2 = max(0.0, 0.5 * 0.4 + 2.0 * (-0.7) + (-0.2))
     expected = 2.0 * h1 + (-3.0) * h2 + 0.25
-    assert mlp_forward(model, x) == pytest.approx(expected, abs=1e-12)
+    assert forward_batch(model, x[None, :])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_forward_batch_rows_match_single_forward():
@@ -77,7 +77,7 @@ def test_forward_batch_rows_match_single_forward():
     outs = forward_batch(model, X)
     assert outs.shape == (5,)
     for i in range(5):
-        assert outs[i] == pytest.approx(mlp_forward(model, X[i]), abs=1e-15)
+        assert outs[i] == pytest.approx(forward_batch(model, X[i:i + 1])[0], abs=1e-15)
 
 
 def test_forward_rejects_wrong_width():
@@ -107,7 +107,7 @@ def test_backward_linear_model_matches_analytic_regression_gradient():
     model = identity_net()
     x = np.array([2.0, 3.0])
     y = 1.0
-    fx = mlp_forward(model, x)
+    fx = forward_batch(model, x[None, :])[0]
     upstream = np.array([2.0 * (fx - y)])
     grad = mlp_backward(model, x[None, :], upstream)
     expected = 2.0 * (fx - y) * np.array([2.0, 3.0, 1.0])
@@ -311,7 +311,7 @@ def test_init_biases_are_zero():
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     model = init_mlp(3, (5,), BINARY_PROBABILITY, rng_for(7, "init-theta"))
     path = tmp_path / "model.json"
-    save_mlp(model, path)
+    path.write_text(json.dumps(mlp_to_dict(model)))
     loaded = load_mlp(path)
     assert np.array_equal(flatten_params(loaded), flatten_params(model))
     assert loaded.output_kind == model.output_kind

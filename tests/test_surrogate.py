@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,25 +13,23 @@ from tandem.surrogate import (
     init_surrogate,
     load_surrogate,
     predict_batch,
-    save_surrogate,
     surrogate_from_dict,
     surrogate_from_params,
     surrogate_grad,
     surrogate_params,
-    surrogate_predict,
     surrogate_to_dict,
 )
 
 
 def test_zero_coefficients_predict_the_bias():
     g = LinearSurrogate(np.zeros(3), 0.7)
-    for x in ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-5.0, 4.0, 9.0]):
-        assert surrogate_predict(g, np.array(x)) == 0.7
+    X = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-5.0, 4.0, 9.0]])
+    assert np.all(predict_batch(g, X) == 0.7)
 
 
 def test_predict_small_arithmetic_case():
     g = LinearSurrogate(np.array([1.0, -2.0]), 1.0)
-    assert surrogate_predict(g, np.array([3.0, 1.0])) == 2.0
+    assert predict_batch(g, np.array([[3.0, 1.0]]))[0] == 2.0
 
 
 def test_predict_matches_independent_dot_product(rng):
@@ -38,7 +38,7 @@ def test_predict_matches_independent_dot_product(rng):
     x = rng.standard_normal(6)
     g = LinearSurrogate(phi, bias)
     expected = sum(float(phi[i]) * float(x[i]) for i in range(6)) + bias
-    assert surrogate_predict(g, x) == pytest.approx(expected, abs=1e-12)
+    assert predict_batch(g, x[None, :])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_predict_batch_matches_rowwise_predict(rng):
@@ -47,7 +47,7 @@ def test_predict_batch_matches_rowwise_predict(rng):
     outs = predict_batch(g, X)
     assert outs.shape == (7,)
     for i in range(7):
-        assert outs[i] == pytest.approx(surrogate_predict(g, X[i]), abs=1e-15)
+        assert outs[i] == pytest.approx(predict_batch(g, X[i:i + 1])[0], abs=1e-15)
 
 
 def test_init_surrogate_is_all_zero():
@@ -126,7 +126,7 @@ def test_explain_rejects_wrong_name_count():
 def test_surrogate_file_round_trip(tmp_path):
     g = LinearSurrogate(np.array([1.25, -0.5]), 0.125)
     path = tmp_path / "surrogate.json"
-    save_surrogate(g, ["age", "hours"], path)
+    path.write_text(json.dumps(surrogate_to_dict(g, ["age", "hours"])))
     loaded, names = load_surrogate(path)
     assert np.array_equal(loaded.phi, g.phi)
     assert loaded.bias == g.bias

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tandem
 from conftest import reference_adam, reference_adam_init
@@ -40,6 +42,7 @@ from tandem.nn import (
     sigmoid,
     unflatten_params,
 )
+from tandem.nn import _backward_cached, _forward_cached, _last_layer_backward, _param_views
 from tandem.seeding import rng_for
 from tandem.surrogate import (
     LinearSurrogate,
@@ -468,6 +471,83 @@ def test_joint_loop_matches_per_call_reference(data, method, rule, extra):
         assert got[2].stopped_reason == STOP_STATIONARY
 
 
+@pytest.mark.parametrize("data, method, tol, stop, full_checks", [
+    ("classification", MOO, 0.01, STOP_BUDGET, 2),
+    ("regression", MOO, 0.05, STOP_BUDGET, 2),
+    ("regression", MOO, 0.1, STOP_STATIONARY, 3),
+    ("classification", JDIST, 0.008, STOP_BUDGET, 2),
+])
+def test_screened_stationarity_check_matches_reference(monkeypatch, data, method, tol,
+                                                       stop, full_checks):
+    """Each tolerance lets the last-layer screen pass on some epoch whose
+    full check fails, so the loop runs both stages; ``full_checks`` counts
+    the epochs whose full check ran."""
+    sizes = []
+
+    def spy(g1, g2, tol):
+        sizes.append(g1.size)
+        return is_pareto_stationary(g1, g2, tol)
+
+    monkeypatch.setattr("tandem.trainers.is_pareto_stationary", spy)
+    ds = small_classification_dataset() if data == "classification" else (
+        linear_regression_dataset())
+    cfg = TrainConfig(method=method, seed=4, **LOOP, stationarity_tol=tol)
+    if method == JDIST:
+        teacher, _, _ = reference_joint_loop(ds, cfg, "pred-only", update_phi=False)
+        ref = reference_joint_loop(ds, cfg, 0.5, init_model=teacher, teacher=teacher)
+    else:
+        ref = reference_joint_loop(ds, cfg, "min-norm")
+    got = run_method(ds, cfg)
+    assert_same_run(ref, got)
+    assert got[2].stopped_reason == stop
+    full = sizes.count(param_count(got[0]))
+    assert full == full_checks
+    assert len(sizes) == got[2].epochs_run + full
+
+
+@settings(max_examples=60)
+@given(
+    input_dim=st.integers(1, 8),
+    hidden=st.lists(st.integers(1, 16), min_size=0, max_size=3),
+    rows=st.integers(1, 64),
+    output_kind=st.sampled_from([REGRESSION_SCALAR, BINARY_PROBABILITY]),
+    distill=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_last_layer_block_is_the_gradient_tail_and_bounds_the_min_norm(
+    input_dim, hidden, rows, output_kind, distill, seed
+):
+    rng = np.random.default_rng(seed)
+    template = init_mlp(input_dim, tuple(hidden), output_kind, rng)
+    theta = flatten_params(template) + 0.1 * rng.standard_normal(param_count(template))
+    params = _param_views(template, theta)
+    X = rng.standard_normal((rows, input_dim))
+    out, caches = _forward_cached(params, X)
+    if output_kind == BINARY_PROBABILITY:
+        u_pred = upstream_derivative(out, (rng.random(rows) < 0.5) * 1.0, BCE)
+    else:
+        u_pred = upstream_derivative(out, rng.standard_normal(rows), MSE)
+    u_dist = upstream_derivative(out, rng.standard_normal(rows), DISTILL)
+    u_pf = upstream_derivative(out, rng.standard_normal(rows), POINT_FIDELITY)
+
+    def pair(backward):
+        """The loop's first and fidelity gradients, or their blocks."""
+        first = backward(params, caches, u_pred)
+        if distill:
+            first = first + backward(params, caches, u_dist)
+        return first, backward(params, caches, u_pf)
+
+    full = pair(_backward_cached)
+    block = pair(_last_layer_backward)
+    size = params[-1][0].size + 1
+    for b, f in zip(block, full):
+        assert b.size == size and np.array_equal(b, f[-size:])
+    bound = solve_alpha(*block).combined_norm
+    exact = solve_alpha(*full).combined_norm
+    rounding = 1e-12 * float(np.linalg.norm(full[0]) + np.linalg.norm(full[1]))
+    assert bound <= exact + rounding
+
+
 @pytest.mark.parametrize("data", ["classification", "regression"])
 def test_predictive_only_and_distillation_loops_match_reference(data):
     ds = small_classification_dataset() if data == "classification" else (
@@ -631,9 +711,7 @@ def test_local_fit_flags_degenerate_neighborhood():
     )
     g, degenerate = fit_local_surrogate(f, x, neighborhood, cfg)
     assert degenerate
-    from tandem.nn import mlp_forward
-
-    assert abs(predict_batch(g, neighborhood)[0] - mlp_forward(f, x)) <= 1e-3
+    assert abs(predict_batch(g, neighborhood)[0] - forward_batch(f, x[None, :])[0]) <= 1e-3
 
 
 @pytest.mark.parametrize("output_kind", [REGRESSION_SCALAR, BINARY_PROBABILITY])
