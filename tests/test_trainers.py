@@ -484,9 +484,9 @@ def test_screened_stationarity_check_matches_reference(monkeypatch, data, method
     the epochs whose full check ran."""
     sizes = []
 
-    def spy(g1, g2, tol):
+    def spy(g1, g2, bound):
         sizes.append(g1.size)
-        return is_pareto_stationary(g1, g2, tol)
+        return is_pareto_stationary(g1, g2, bound)
 
     monkeypatch.setattr("tandem.trainers.is_pareto_stationary", spy)
     ds = small_classification_dataset() if data == "classification" else (
