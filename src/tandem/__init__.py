@@ -93,6 +93,7 @@ from .trainers import (
     TrainReport,
     fit_local_surrogate,
     run_method,
+    run_methods,
     train_linear,
     train_stl,
 )

@@ -43,10 +43,11 @@ from .trainers import (
     MOO,
     TrainConfig,
     TrainReport,
+    _caught,
     _eval_rows,
     local_surrogate_provider,
     report_to_dict,
-    run_method,
+    run_methods,
 )
 
 RESULTS_SCHEMA = "tandem-results"
@@ -267,7 +268,10 @@ def build_config(entry: dict, base: dict | None, seed: int) -> TrainConfig:
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
     if "hidden" in merged:
-        merged["hidden"] = tuple(int(h) for h in merged["hidden"])
+        hidden = merged["hidden"]
+        if not (isinstance(hidden, list) and all(type(h) is int for h in hidden)):
+            raise DataError(f"config hidden must be a list of integers, got {hidden!r}")
+        merged["hidden"] = tuple(hidden)
     return TrainConfig(**merged)
 
 
@@ -393,26 +397,46 @@ def run_experiment(
     """Run the method-by-seed grid and aggregate results.
 
     Datasets are resolved once per seed and shared by all methods at that
-    seed.  A run that raises becomes a RunFailure; the rest continue.
-    Per-run artifacts (report, model, surrogate) are written under
-    output_dir/runs.
+    seed, and each seed's runs train in one ``run_methods`` call.  A run
+    that raises becomes a RunFailure; the rest continue.  Outcomes,
+    failures and the per-run artifacts (report, model, surrogate, written
+    under output_dir/runs) follow the grid method by method.
     """
     name = dataset_name(spec.dataset)
     datasets: dict[int, Dataset] = {}
+    # (method index, seed index) -> the run's config, dataset and result;
+    # the first of them that is an exception is what ended the run.
+    grid: dict[tuple[int, int], tuple] = {}
+    for s, seed in enumerate(spec.seeds):
+        configs = [_caught(build_config, entry, spec.base_config, seed)
+                   for entry in spec.methods]
+        ready = [m for m, config in enumerate(configs) if not isinstance(config, Exception)]
+        dataset, runs = None, {}
+        if ready:
+            dataset = datasets.get(seed) or _caught(
+                resolve_dataset, spec.dataset, seed, spec.base_dir)
+        if ready and not isinstance(dataset, Exception):
+            datasets[seed] = dataset
+            runs = dict(zip(ready, run_methods(dataset, [configs[m] for m in ready])))
+        for m, config in enumerate(configs):
+            grid[m, s] = (config, dataset, runs.get(m))
+
     outcomes: list[RunOutcome] = []
     failures: list[RunFailure] = []
     labels: list[str] = []
-
-    for entry in spec.methods:
+    for m, entry in enumerate(spec.methods):
         entry_label = str(entry.get("method", "?"))
-        for seed in spec.seeds:
+        for s, seed in enumerate(spec.seeds):
+            config, dataset, result = grid[m, s]
             try:
-                config = build_config(entry, spec.base_config, seed)
+                if isinstance(config, Exception):
+                    raise config
                 entry_label = method_label(config)
-                if seed not in datasets:
-                    datasets[seed] = resolve_dataset(spec.dataset, seed, spec.base_dir)
-                dataset = datasets[seed]
-                model, surrogate, report = run_method(dataset, config)
+                if isinstance(dataset, Exception):
+                    raise dataset
+                if isinstance(result, Exception):
+                    raise result
+                model, surrogate, report = result
                 outcome = RunOutcome(
                     method=entry_label, seed=seed,
                     model=model, surrogate=surrogate, report=report,
@@ -479,16 +503,18 @@ def pareto_scan(
         except Exception as exc:
             failures.append(_failure(name, "dataset", seed, exc))
             continue
+        configs = [_caught(build_config, entry, base, seed) for entry in entries]
+        runs = iter(run_methods(dataset, [c for c in configs if not isinstance(c, Exception)]))
         seed_points: list[tuple[str, float | None, TrainReport]] = []
-        for entry in entries:
-            label = entry["method"]
-            try:
-                config = build_config(entry, base, seed)
-                label = method_label(config)
-                _, _, report = run_method(dataset, config)
-                seed_points.append((label, config.alpha, report))
-            except Exception as exc:
-                failures.append(_failure(name, label, seed, exc))
+        for entry, config in zip(entries, configs):
+            if isinstance(config, Exception):
+                failures.append(_failure(name, entry["method"], seed, config))
+                continue
+            result = next(runs)
+            if isinstance(result, Exception):
+                failures.append(_failure(name, method_label(config), seed, result))
+            else:
+                seed_points.append((method_label(config), config.alpha, result[2]))
 
         losses = [
             np.asarray([_task_loss(r.task_metric, dataset.task), r.gf])

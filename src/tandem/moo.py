@@ -60,11 +60,15 @@ def solve_alpha(g1, g2) -> AlphaSolution:
     return AlphaSolution(alpha=alpha, combined_norm=norm, clipped=clipped)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def combine_direction(alpha: float, g1, g2) -> np.ndarray:
     """Convex combination alpha*g1 + (1-alpha)*g2."""
     a, b = _pair(g1, g2)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     return alpha * a + (1.0 - alpha) * b
 
 

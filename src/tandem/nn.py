@@ -169,14 +169,16 @@ def _layer_params(model: MlpModel) -> list[tuple[np.ndarray, np.ndarray, str]]:
 
 def _param_views(model: MlpModel, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """(weight, bias, activation) per layer of ``model``, as views into a
-    flat vector in canonical order; writing to ``theta`` moves the layers."""
+    flat vector in canonical order, or into each row of a (K, P) stack as
+    (K, out, in) weights and (K, out) biases; writing to ``theta`` moves
+    the layers."""
     params = []
     pos = 0
     for layer in model.layers:
         w_end = pos + layer.weight.size
         b_end = w_end + layer.bias.size
-        params.append((theta[pos:w_end].reshape(layer.weight.shape),
-                       theta[w_end:b_end], layer.activation))
+        params.append((theta[..., pos:w_end].reshape(theta.shape[:-1] + layer.weight.shape),
+                       theta[..., w_end:b_end], layer.activation))
         pos = b_end
     return params
 
@@ -184,11 +186,14 @@ def _param_views(model: MlpModel, theta: np.ndarray) -> list[tuple[np.ndarray, n
 def _forward_cached(params, X: np.ndarray):
     """Outputs, shape (N,) or (..., N) for a stack, and the per-layer (input,
     pre-activation, output) caches that :func:`_backward_cached` starts from.
-    ``params`` holds one (weight, bias, activation) triple per layer."""
+    ``params`` holds one (weight, bias, activation) triple per layer, or a
+    stack of K networks from :func:`_param_views`, which all take the same
+    X (N, d); each row's matmul is its own gemm, so bit-identical to a
+    call with that row alone."""
     a = X
     caches = []
     for weight, bias, activation in params:
-        z = a @ weight.T + bias
+        z = a @ weight.swapaxes(-1, -2) + bias[..., None, :]
         a_out = _activate(z, activation)
         caches.append((a, z, a_out))
         a = a_out
@@ -197,30 +202,34 @@ def _forward_cached(params, X: np.ndarray):
 
 def _layer_backward(layer, cache, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One layer's step of the backward pass.  From the loss gradient
-    ``delta`` (N, out) at the layer's output: the layer's (weight, bias)
-    gradient block in canonical flat order, and the gradient at its
-    pre-activation."""
+    ``delta`` (N, out), or (K, N, out) for a stack, at the layer's output:
+    the layer's (weight, bias) gradient block in canonical flat order, and
+    the gradient at its pre-activation."""
     _, _, activation = layer
     a_prev, z, a_out = cache
     delta = delta * _activation_grad(z, a_out, activation)
-    return np.concatenate([(delta.T @ a_prev).ravel(), delta.sum(axis=0)]), delta
+    grad_w = delta.swapaxes(-1, -2) @ a_prev
+    return np.concatenate([grad_w.reshape(grad_w.shape[:-2] + (-1,)),
+                           delta.sum(axis=-2)], axis=-1), delta
 
 
 def _backward_cached(params, caches, upstream: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product from a cached forward, in canonical flat order."""
+    """Vector-Jacobian product from a cached forward, in canonical flat
+    order: (P,) from upstream (N,), or (K, P) from a stack's (K, N), each
+    row bit-identical to its own call."""
     grads = [np.empty(0)] * len(params)
-    delta = upstream[:, None]
+    delta = upstream[..., None]
     for k in range(len(params) - 1, -1, -1):
         grads[k], delta = _layer_backward(params[k], caches[k], delta)
         if k > 0:
             delta = delta @ params[k][0]
-    return np.concatenate(grads)
+    return np.concatenate(grads, axis=-1)
 
 
 def _last_layer_backward(params, caches, upstream: np.ndarray) -> np.ndarray:
     """The last layer's block of :func:`_backward_cached`, the tail of its
     output, bit for bit, at the cost of one layer's step."""
-    return _layer_backward(params[-1], caches[-1], upstream[:, None])[0]
+    return _layer_backward(params[-1], caches[-1], upstream[..., None])[0]
 
 
 def forward_batch(model: MlpModel, X) -> np.ndarray:

@@ -9,10 +9,16 @@ distill.  Stationarity is checked once per epoch on full-batch gradients,
 screened by an exact lower bound, the min-norm of the last layer's
 gradient block alone: the full backward passes run only on epochs whose
 bound does not already rule a stop out.  Each joint method is one row of
-a method table, and ``run_method`` trains every method, joint or not.
+a method table.
 
-While a fit runs, the network and the surrogate are flat vectors stepped
-in place by Adam; their model objects are built once, when it returns.
+``run_methods`` trains a list of runs.  Runs that share a dataset and
+every setting apart from the method and its weight train in lockstep:
+the loop holds their networks and surrogates as stacks, one row per run,
+and every row moves bit for bit as its run would alone.  ``run_method``
+is the one-run case.
+
+While a fit runs, the networks and the surrogates are flat rows stepped
+in place by Adam; their model objects are built once, when a run ends.
 
 Metrics in a report are computed on the test split, falling back to all
 rows when the dataset has no test rows.
@@ -20,7 +26,7 @@ rows when the dataset has no test rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,12 +42,7 @@ from .losses import (
     upstream_derivative,
 )
 from .metrics import f1_score, global_fidelity, mse_metric
-from .moo import (
-    DEFAULT_STATIONARITY_TOL,
-    combine_direction,
-    is_pareto_stationary,
-    solve_alpha,
-)
+from .moo import DEFAULT_STATIONARITY_TOL, _check_alpha, is_pareto_stationary, solve_alpha
 from .nn import (
     BINARY_PROBABILITY,
     MlpModel,
@@ -115,6 +116,10 @@ class TrainConfig:
                 raise ValueError("GS requires alpha in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not self.stationarity_tol > 0:
+            raise ValueError("stationarity_tol must be positive")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError("hidden layer widths must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -208,16 +213,14 @@ class _JointMethod:
     ``weight`` is the rule for the weight on the predictive gradient:
     MIN_NORM solves for it each step, CONSTANT uses ``alpha``, UNIFORM
     draws it fresh each step, PRED_ONLY follows the predictive gradient
-    alone.  With a ``teacher``, the gradient of the distillation loss
-    toward the teacher's outputs is added to the predictive gradient.
-    Without ``update_phi`` the surrogate stays at zero and the run skips
-    the stationarity check, running to budget.
+    alone.  Without ``update_phi`` the surrogate stays at zero and the run
+    skips the stationarity check, running to budget.  JDIST's distillation
+    term comes from the teacher its lockstep stage is given.
     """
 
     weight: str
     alpha: float = 0.5
     update_phi: bool = True
-    teacher: MlpModel | None = None
 
 
 _TABLE = {
@@ -231,28 +234,23 @@ _TABLE = {
 }
 
 
-def _joint_method(config: TrainConfig, teacher: MlpModel | None = None) -> _JointMethod:
-    """The table entry for ``config.method``, with GS's configured weight
-    and JDIST's ``teacher`` filled in."""
+def _joint_method(config: TrainConfig) -> _JointMethod:
+    """The table entry for ``config.method``, with GS's configured weight."""
     method = _TABLE[config.method]
     if config.method == GS:
         return replace(method, alpha=config.alpha)
-    if config.method == JDIST:
-        return replace(method, teacher=teacher)
     return method
 
 
-def _direction(method: _JointMethod, g_first: np.ndarray, g_pf: np.ndarray,
-               rng_alpha: np.random.Generator) -> tuple[np.ndarray, float]:
-    if method.weight == PRED_ONLY:
-        return g_first, 1.0
-    if method.weight == MIN_NORM:
-        alpha = solve_alpha(g_first, g_pf).alpha
-    elif method.weight == UNIFORM:
-        alpha = float(rng_alpha.uniform(0.0, 1.0))
-    else:
-        alpha = method.alpha
-    return combine_direction(alpha, g_first, g_pf), alpha
+def _step_weight(row: "_Row", g_first: np.ndarray, g_pf: np.ndarray) -> float:
+    """This step's weight on the predictive gradient for one row."""
+    if row.method.weight == PRED_ONLY:
+        return 1.0
+    if row.method.weight == MIN_NORM:
+        return solve_alpha(g_first, g_pf).alpha
+    if row.method.weight == UNIFORM:
+        return float(row.rng_alpha.uniform(0.0, 1.0))
+    return row.method.alpha
 
 
 def _phi_step(phi: np.ndarray, grad: np.ndarray, state, lr: float) -> None:
@@ -262,52 +260,92 @@ def _phi_step(phi: np.ndarray, grad: np.ndarray, state, lr: float) -> None:
         raise NumericError("surrogate parameters must be finite")
 
 
+@dataclass
+class _Row:
+    """One run of a lockstep stack: its place in the caller's list, its
+    own weight stream and what it has recorded so far."""
+
+    index: int
+    config: TrainConfig
+    method: _JointMethod
+    rng_alpha: np.random.Generator
+    pred_hist: list[float] = field(default_factory=list)
+    pf_hist: list[float] = field(default_factory=list)
+    alpha_hist: list[float] = field(default_factory=list)
+    step_alphas: list[float] = field(default_factory=list)
+    min_dot_pred: float = np.inf
+    min_dot_pf: float = np.inf
+
+
 def _joint_loop(
     dataset: Dataset,
-    config: TrainConfig,
-    method: _JointMethod,
+    configs: list[TrainConfig],
     init_model: MlpModel | None = None,
-) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
-    """Shared epoch/step loop for all joint training methods.
+    teacher: MlpModel | None = None,
+) -> list:
+    """The epoch/step loop of every joint method, for K runs in lockstep.
 
-    The network lives in one flat vector ``theta``, the layers views into
-    it, and the surrogate in ``phi``, its coefficients then bias.  Per
-    step: one forward pass over the batch, whose output is the surrogate's
-    fitting target for every inner step and whose caches feed the
-    predictive and fidelity backward passes; ``method`` combines the two
-    gradients and one Adam step moves ``theta``.  Per epoch: record
-    full-batch losses and, when the surrogate is trained, stop if the
+    The runs share the dataset and every ``TrainConfig`` field apart from
+    ``method`` and ``alpha``, so they share the initial network, the batch
+    stream and the step count.  The networks live in one (K, P) stack
+    ``theta``, the layers (K, out, in) and (K, out) views into it, and the
+    surrogates in a (K, d+1) stack ``phi``, coefficients then bias; each
+    stack has one Adam state.  With a ``teacher``, every run adds the
+    gradient of the distillation loss toward its outputs to the predictive
+    gradient.
+
+    Per step: one stacked forward pass over the shared batch, whose output
+    is the surrogates' fitting target for every inner step and whose
+    caches feed the stacked predictive and fidelity backward passes.  Each
+    row's weight comes from its method; the min-norm solve and the
+    descent dot products stay one call per row, on views.  The directions
+    combine element-wise on the stack and one Adam step moves ``theta``.
+    Every stacked matmul is one gemm per row, so each row is bit-identical
+    to a run alone.
+
+    Per epoch, row by row, since a stacked pass over the whole train split
+    holds K times its activations and was not faster: record full-batch
+    losses and, when the row trains its surrogate, stop it if the
     full-batch gradient pair from that same forward is Pareto stationary.
+    That check is screened.  The min-norm over any subset of the gradient
+    entries is at most the min-norm over all of them, and the last layer's
+    block is one layer's step of the backward pass, bit for bit the tail
+    of the full gradient.  Only when the block's min-norm is within twice
+    the tolerance, the factor covering rounding, do the full backward
+    passes and the exact check run; otherwise the check would have
+    returned False.
 
-    That check is screened.  The min-norm over any subset of the
-    gradient entries is at most the min-norm over all of them, and the
-    last layer's block is one layer's step of the backward pass, bit for
-    bit the tail of the full gradient.  Only when the block's min-norm is
-    within twice the tolerance, the factor covering rounding, do the full
-    backward passes and the exact check run; otherwise the check would
-    have returned False.  The report is tagged ``config.method``.
+    A row that stops, or fails a check its run alone would fail, leaves the
+    stack; the rest go on unchanged.  Returns, in the order of
+    ``configs``, each run's (model, surrogate, report), tagged with its
+    ``config.method``, or the exception that ended it.
     """
     X, y = subset(dataset, TRAIN)
     kind = _pred_kind(dataset)
+    shared = configs[0]
     if init_model is None:
         init_model = init_mlp(
-            dataset.n_features, config.hidden, _output_kind(dataset),
-            rng_for(config.seed, "init-theta"),
+            dataset.n_features, shared.hidden, _output_kind(dataset),
+            rng_for(shared.seed, "init-theta"),
         )
-    theta = flatten_params(init_model)
-    params = _param_views(init_model, theta)
-    phi = np.zeros(dataset.n_features + 1)
-    theta_state = adam_init(theta.size)
-    phi_state = adam_init(phi.size)
-    rng_batch = rng_for(config.seed, "batch")
-    rng_alpha = rng_for(config.seed, "alpha")
     # The teacher never changes: its train-split outputs are computed once.
-    t_all = None if method.teacher is None else forward_batch(method.teacher, X)
+    t_all = None if teacher is None else forward_batch(teacher, X)
+    theta = np.tile(flatten_params(init_model), (len(configs), 1))
+    params = _param_views(init_model, theta)
+    phi = np.zeros((len(configs), dataset.n_features + 1))
+    theta_state = adam_init(theta.shape)
+    phi_state = adam_init(phi.shape)
+    rng_batch = rng_for(shared.seed, "batch")
+    rows = [_Row(i, c, _joint_method(c), rng_for(c.seed, "alpha"))
+            for i, c in enumerate(configs)]
+    results: list = [None] * len(configs)
+    ended: dict[int, object] = {}
 
-    def gradients(rows, f_out, caches, g_out, backward=_backward_cached):
+    def gradients(params, rows, f_out, caches, g_out, backward=_backward_cached):
         """Predictive gradient, the same plus any distillation term, and
         fidelity gradient on train rows ``rows``, all from one cached
-        forward; ``backward`` gives every gradient or its last layer's block."""
+        forward of one network or a stack; ``backward`` gives every
+        gradient or its last layer's block."""
         g_pred = backward(params, caches, upstream_derivative(f_out, y[rows], kind))
         g_first = g_pred
         if t_all is not None:
@@ -316,67 +354,166 @@ def _joint_loop(
         g_pf = backward(params, caches, upstream_derivative(f_out, g_out, POINT_FIDELITY))
         return g_pred, g_first, g_pf
 
-    pred_hist: list[float] = []
-    pf_hist: list[float] = []
-    alpha_hist: list[float] = []
-    min_dot_pred = np.inf
-    min_dot_pf = np.inf
-    stopped = STOP_BUDGET
+    def check(message: str, *arrays: np.ndarray, exempt: np.ndarray | None = None) -> None:
+        """Rows with a non-finite entry in any of the stacks ``arrays``,
+        bar those flagged in ``exempt``, end with NumericError(message), as
+        their runs alone would, unless an earlier check ended them.  Their
+        entries are zeroed, so no stacked call downstream raises.
 
-    for epoch in range(config.max_epochs):
-        step_alphas: list[float] = []
-        for batch in _batches(rng_batch, X.shape[0], config.batch_size):
-            Xb = X[batch]
-            f_out, caches = _forward_cached(params, Xb)
-            if method.update_phi:
-                for _ in range(config.inner_steps):
-                    # The black-box output is the fitting target, never differentiated.
-                    _phi_step(phi, _grad_flat(Xb, f_out - _predict_flat(phi, Xb)),
-                              phi_state, config.lr_phi)
-            g_pred, g_first, g_pf = gradients(batch, f_out, caches, _predict_flat(phi, Xb))
-            d, alpha = _direction(method, g_first, g_pf, rng_alpha)
-            min_dot_pred = min(min_dot_pred, float(d @ g_pred))
-            min_dot_pf = min(min_dot_pf, float(d @ g_pf))
-            adam_step(theta, d, theta_state, config.lr_theta)
-            if not np.isfinite(theta).all():
-                raise NumericError("layer parameters must be finite")
-            step_alphas.append(alpha)
+        A stacked call that validates its input raises before it changes
+        anything, for the whole stack; the step then checks the rows and
+        calls it again, so the checks cost nothing while all rows are
+        finite."""
+        if all(np.isfinite(values).all() for values in arrays):
+            return
+        bad = ~np.logical_and.reduce([np.isfinite(values).all(axis=-1) for values in arrays])
+        if exempt is not None:
+            bad &= ~exempt
+        for k in np.flatnonzero(bad).tolist():
+            ended.setdefault(k, NumericError(message))
+        for values in arrays:
+            values[bad] = 0.0
 
-        out, caches = _forward_cached(params, X)
-        g_out = _predict_flat(phi, X)
+    def end_epoch(epoch: int, k: int, row: _Row) -> bool:
+        """Row k's full-split pass: record its losses and mean weight; True
+        when its run is Pareto stationary."""
+        row_params = [(weight[k], bias[k], activation) for weight, bias, activation in params]
+        out, caches = _forward_cached(row_params, X)
+        g_out = _predict_flat(phi[k], X)
         lp = loss_pred(out, y, kind)
         lpf = loss_point_fidelity(out, g_out)
         if not (np.isfinite(lp) and np.isfinite(lpf)):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
-        pred_hist.append(lp)
-        pf_hist.append(lpf)
-        alpha_hist.append(float(np.mean(step_alphas)))
-        if method.update_phi:
-            _, ga, gb = gradients(slice(None), out, caches, g_out, _last_layer_backward)
-            if not is_pareto_stationary(ga, gb, 2.0 * config.stationarity_tol):
-                continue
-            _, ga, gb = gradients(slice(None), out, caches, g_out)
-            if is_pareto_stationary(ga, gb, config.stationarity_tol):
-                stopped = STOP_STATIONARY
-                break
+        row.pred_hist.append(lp)
+        row.pf_hist.append(lpf)
+        row.alpha_hist.append(float(np.mean(row.step_alphas)))
+        if not row.method.update_phi:
+            return False
+        tol = row.config.stationarity_tol
+        _, ga, gb = gradients(row_params, slice(None), out, caches, g_out, _last_layer_backward)
+        if not is_pareto_stationary(ga, gb, 2.0 * tol):
+            return False
+        _, ga, gb = gradients(row_params, slice(None), out, caches, g_out)
+        return is_pareto_stationary(ga, gb, tol)
 
-    model = unflatten_params(init_model, theta)
-    g = surrogate_from_params(phi)
-    metric, gf = _final_metrics(model, g, dataset)
-    report = TrainReport(
-        method=config.method,
-        seed=config.seed,
-        loss_pred_history=tuple(pred_hist),
-        loss_pf_history=tuple(pf_hist),
-        alpha_history=tuple(alpha_hist),
-        epochs_run=len(pred_hist),
-        stopped_reason=stopped,
-        task_metric=metric,
-        gf=gf,
-        min_dot_pred=float(min_dot_pred),
-        min_dot_pf=float(min_dot_pf),
-    )
-    return model, g, report
+    def finish(k: int, outcome) -> None:
+        """Record row k's result: the exception that ended it, or its run,
+        stopped for the reason ``outcome``."""
+        row = rows[k]
+        if isinstance(outcome, Exception):
+            results[row.index] = outcome
+            return
+        try:
+            model = unflatten_params(init_model, theta[k])
+            g = surrogate_from_params(phi[k])
+            metric, gf = _final_metrics(model, g, dataset)
+        except Exception as exc:
+            results[row.index] = exc
+            return
+        results[row.index] = (model, g, TrainReport(
+            method=row.config.method,
+            seed=row.config.seed,
+            loss_pred_history=tuple(row.pred_hist),
+            loss_pf_history=tuple(row.pf_hist),
+            alpha_history=tuple(row.alpha_hist),
+            epochs_run=len(row.pred_hist),
+            stopped_reason=outcome,
+            task_metric=metric,
+            gf=gf,
+            min_dot_pred=float(row.min_dot_pred),
+            min_dot_pf=float(row.min_dot_pf),
+        ))
+
+    def settle() -> None:
+        """Finish the ended rows and drop them from the stack, as
+        ``_fit_phi`` drops its finished fits."""
+        nonlocal rows, theta, phi, params
+        for k, outcome in ended.items():
+            finish(k, outcome)
+        keep = np.array([k not in ended for k in range(len(rows))], dtype=bool)
+        ended.clear()
+        rows = [row for row, kept in zip(rows, keep) if kept]
+        theta, phi = theta[keep], phi[keep]
+        for state in (theta_state, phi_state):
+            state.first_moment = state.first_moment[keep]
+            state.second_moment = state.second_moment[keep]
+        params = _param_views(init_model, theta)
+
+    for epoch in range(shared.max_epochs):
+        for row in rows:
+            row.step_alphas.clear()
+        for batch in _batches(rng_batch, X.shape[0], shared.batch_size):
+            Xb = X[batch]
+            fixed = np.array([not row.method.update_phi for row in rows])
+            pred_only = np.array([row.method.weight == PRED_ONLY for row in rows])
+            try:
+                f_out, caches = _forward_cached(params, Xb)
+                if not fixed.all():
+                    for _ in range(shared.inner_steps):
+                        # The black-box output is the fitting target, never differentiated.
+                        grad = _grad_flat(Xb, f_out - _predict_flat(phi, Xb))
+                        # A zero step leaves a fixed surrogate and its moments at zero.
+                        grad[fixed] = 0.0
+                        try:
+                            adam_step(phi, grad, phi_state, shared.lr_phi)
+                        except NumericError:
+                            check("gradient has non-finite entries", grad)
+                            adam_step(phi, grad, phi_state, shared.lr_phi)
+                        check("surrogate parameters must be finite", phi)
+                g_out = _predict_flat(phi, Xb)
+                try:
+                    g_pred, g_first, g_pf = gradients(params, batch, f_out, caches, g_out)
+                except NumericError:
+                    check("non-finite loss inputs", f_out, g_out)
+                    g_pred, g_first, g_pf = gradients(params, batch, f_out, caches, g_out)
+                alphas = np.empty(len(rows))
+                for k, row in enumerate(rows):
+                    try:
+                        alphas[k] = _step_weight(row, g_first[k], g_pf[k])
+                        _check_alpha(alphas[k])
+                    except (NumericError, ValueError) as exc:
+                        ended.setdefault(k, exc)
+                        alphas[k] = np.nan
+                if pred_only.all():
+                    d = g_first
+                else:
+                    d = alphas[:, None] * g_first + (1.0 - alphas)[:, None] * g_pf
+                    # Exactly g_first: 1.0 * a + 0.0 * b is not a where b is not finite.
+                    d[pred_only] = g_first[pred_only]
+                for row, alpha, d_row, a, b in zip(rows, alphas, d, g_pred, g_pf):
+                    row.min_dot_pred = min(row.min_dot_pred, float(d_row @ a))
+                    row.min_dot_pf = min(row.min_dot_pf, float(d_row @ b))
+                    row.step_alphas.append(float(alpha))
+                try:
+                    adam_step(theta, d, theta_state, shared.lr_theta)
+                except NumericError:
+                    # A mixing row whose gradient pair is not finite fails in
+                    # the min-norm solver or the combination, before Adam.
+                    check("non-finite gradient passed to min-norm solver", g_first, g_pf,
+                          exempt=pred_only)
+                    check("gradient has non-finite entries", d)
+                    adam_step(theta, d, theta_state, shared.lr_theta)
+                check("layer parameters must be finite", theta)
+            except Exception as exc:
+                for k in range(len(rows)):
+                    ended.setdefault(k, exc)
+            if ended:
+                settle()
+                if not rows:
+                    break
+        for k, row in enumerate(rows):
+            try:
+                if end_epoch(epoch, k, row):
+                    ended[k] = STOP_STATIONARY
+            except Exception as exc:
+                ended[k] = exc
+        if ended:
+            settle()
+        if not rows:
+            break
+    ended.update(dict.fromkeys(range(len(rows)), STOP_BUDGET))
+    settle()
+    return results
 
 
 def _fit_phi(X: np.ndarray, targets: np.ndarray, config: TrainConfig,
@@ -433,7 +570,13 @@ def train_stl(
     weight 1.0, phase-2 epochs with weight 0.0; ``stopped_reason`` reports
     the phase-2 outcome, with "stationary" meaning the tolerance was met.
     """
-    model, _, phase1 = _joint_loop(dataset, config, _TABLE[STL])
+    return run_method(dataset, replace(config, method=STL))
+
+
+def _fit_stl_surrogate(dataset: Dataset, config: TrainConfig, pred_run: tuple
+                       ) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
+    """STL's phase 2 on its phase 1, the predictive-only run ``pred_run``."""
+    model, _, phase1 = pred_run
     X, y = subset(dataset, TRAIN)
     outputs = forward_batch(model, X)
     history: list[np.ndarray] = []
@@ -556,22 +699,63 @@ def local_surrogate_provider(config: TrainConfig):
     return provide
 
 
+def _caught(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def run_methods(dataset: Dataset, configs: list[TrainConfig]) -> list:
+    """Train every run of ``configs`` on ``dataset``.  Returns, in order,
+    each run's (model, surrogate, report) triple or the exception that run
+    raised; the linear method returns None for the black-box slot.
+
+    Runs whose configs agree apart from ``method`` and ``alpha`` form a
+    group and train in lockstep, each exactly as it would alone.  STL's
+    phase 1 and every JDIST teacher are one predictive-only row of the
+    group's stack; STL then fits its surrogate to that network, and the
+    JDIST runs train as a second stack that starts from it.  LINEAR runs
+    its own procedure.
+    """
+    results: list = [None] * len(configs)
+    groups: dict[TrainConfig, list[int]] = {}
+    for i, config in enumerate(configs):
+        if config.method == LINEAR:
+            fitted = _caught(train_linear, dataset, config)
+            results[i] = fitted if isinstance(fitted, Exception) else (None, *fitted)
+        else:
+            # Keyed by the group's predictive-only config.
+            groups.setdefault(replace(config, method=STL, alpha=None), []).append(i)
+    for pred_config, members in groups.items():
+        joint = [i for i in members if configs[i].method not in (STL, JDIST)]
+        pred_row = [pred_config] if len(joint) < len(members) else []
+        stage = _joint_loop(dataset, pred_row + [configs[i] for i in joint])
+        pred = stage.pop(0) if pred_row else None
+        results_of = dict(zip(joint, stage))
+        distill = [i for i in members if configs[i].method == JDIST]
+        if distill and not isinstance(pred, Exception):
+            teacher = pred[0]
+            stage = _joint_loop(dataset, [configs[i] for i in distill],
+                                init_model=teacher, teacher=teacher)
+            results_of.update(zip(distill, stage))
+        for i in members:
+            if i in results_of:
+                results[i] = results_of[i]
+            elif isinstance(pred, Exception):
+                results[i] = pred
+            else:
+                results[i] = _caught(_fit_stl_surrogate, dataset, configs[i], pred)
+    return results
+
+
 def run_method(
     dataset: Dataset, config: TrainConfig
 ) -> tuple[MlpModel | None, LinearSurrogate, TrainReport]:
-    """Train one run of ``config.method``.
-
-    LINEAR and STL run their own procedures; every other method runs the
-    joint loop with its table entry.  JDIST first trains its teacher with
-    a predictive-only run at the same seed and starts from it.  The linear
-    method returns None for the black-box slot.
-    """
-    if config.method == LINEAR:
-        g, report = train_linear(dataset, config)
-        return None, g, report
-    if config.method == STL:
-        return train_stl(dataset, config)
-    teacher = None
-    if config.method == JDIST:
-        teacher, _, _ = _joint_loop(dataset, config, _TABLE[STL])
-    return _joint_loop(dataset, config, _joint_method(config, teacher), init_model=teacher)
+    """Train one run of ``config.method``: the one-run case of
+    :func:`run_methods`, raising the exception the run raised."""
+    (result,) = run_methods(dataset, [config])
+    if isinstance(result, Exception):
+        raise result
+    return result

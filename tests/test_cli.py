@@ -128,7 +128,7 @@ def test_pareto_scan_subcommand(tmp_path, descriptor_path, capsys):
 
 @pytest.mark.parametrize("config, error_type", [
     ({"max_epochz": 1}, "DataError"),
-    ({"hidden": 5}, "TypeError"),
+    ({"hidden": 5}, "DataError"),
 ])
 def test_pareto_scan_records_bad_config_as_failed_runs(tmp_path, capsys, config,
                                                        error_type):

@@ -171,6 +171,9 @@ def test_build_config_normalizes_hidden_and_rejects_unknown_keys():
     assert config.hidden == (8, 4)
     with pytest.raises(DataError, match="momentum"):
         build_config({"method": MOO, "momentum": 0.9}, None, seed=0)
+    for hidden in (5, "8", [8, "4"], [8.0], [True], None, {"a": 1}):
+        with pytest.raises(DataError, match="hidden"):
+            build_config({"method": MOO, "hidden": hidden}, None, seed=0)
 
 
 def test_method_label_includes_fixed_weight():
@@ -545,3 +548,65 @@ def test_report_csv_quotes_labels_that_need_it(tmp_path):
         b"",
     ]
     assert read_report_csv(str(path)) == rows
+
+
+# -- a diverging run among healthy ones ----------------------------------------
+
+# At this step size and seed 5, GS(0.9) and the predictive-only network
+# diverge while MOO and the other GS runs of the same lockstep stack survive.
+# The expected files are those written when every run trains alone.
+DIVERGING = {
+    "dataset": {"kind": "synthetic", "generator": "nonlinear", "n": 300, "d": 5,
+                "noise": 0.3},
+    "seeds": [5],
+    "config": {"max_epochs": 4, "batch_size": 32, "hidden": [8, 4], "lr_theta": 1e120},
+}
+
+DIVERGED_GS = """\
+    {
+      "dataset": "nonlinear",
+      "error": "gradient has non-finite entries",
+      "error_type": "NumericError",
+      "method": "GS(0.9)",
+      "seed": 5
+    }"""
+
+
+def test_experiment_with_a_diverging_run_writes_the_sequential_files(tmp_path):
+    spec = spec_from_dict({**DIVERGING, "output_dir": str(tmp_path), "methods": [
+        {"method": m} for m in (MOO, STL)] + [{"method": GS, "alpha": 0.9},
+                                               {"method": "JDIST"}, {"method": LINEAR}]})
+    rows, outcomes, failures = run_experiment(spec)
+    emit_report(rows, "csv", str(tmp_path / "results.csv"))
+    write_failures(failures, str(tmp_path))
+    assert [o.method for o in outcomes] == [MOO, LINEAR]
+    assert (tmp_path / "results.csv").read_text() == (
+        "dataset,method,metric,mean,std\n"
+        "nonlinear,MOO,f1,0,\n"
+        "nonlinear,MOO,gf,4.5362e-05,\n"
+        "nonlinear,LINEAR,f1,0.904762,\n"
+    )
+    lost_teacher = """\
+    {
+      "dataset": "nonlinear",
+      "error": "non-finite loss inputs",
+      "error_type": "NumericError",
+      "method": "%s",
+      "seed": 5
+    }"""
+    assert (tmp_path / "failures.json").read_text() == (
+        '{\n  "failures": [\n' + ",\n".join(
+            [lost_teacher % STL, DIVERGED_GS, lost_teacher % "JDIST"]) + "\n  ]\n}\n")
+
+
+def test_pareto_scan_with_a_diverging_run_writes_the_sequential_files(tmp_path):
+    spec = spec_from_dict({**DIVERGING, "methods": [{"method": MOO}]})
+    points, failures = pareto_scan(spec)
+    emit_scatter(points, "csv", str(tmp_path / "pareto.csv"))
+    write_failures(failures, str(tmp_path))
+    assert (tmp_path / "pareto.csv").read_text() == (
+        "seed,method,alpha,task_metric,gf,dominated\n5,MOO,,0,4.5362e-05,false\n"
+        + "".join(f"5,GS({a / 10:g}),{a / 10:g},0,4.5362e-05,false\n" for a in range(1, 9))
+    )
+    assert (tmp_path / "failures.json").read_text() == (
+        '{\n  "failures": [\n' + DIVERGED_GS + "\n  ]\n}\n")

@@ -66,11 +66,11 @@ from tandem.trainers import (
     UNI,
     TrainConfig,
     _joint_loop,
-    _joint_method,
     fit_local_surrogate,
     local_surrogate_provider,
     report_to_dict,
     run_method,
+    run_methods,
     train_linear,
     train_stl,
 )
@@ -123,6 +123,13 @@ def test_config_rejects_negative_seed_and_bad_sizes():
         TrainConfig(method=MOO, seed=0, batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(method=MOO, seed=0, lr_theta=0.0)
+    for tol in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="stationarity_tol"):
+            TrainConfig(method=MOO, seed=0, stationarity_tol=tol)
+    for hidden in ((-3,), (0,), (8, 0)):
+        with pytest.raises(ValueError, match="hidden"):
+            TrainConfig(method=MOO, seed=0, hidden=hidden)
+    TrainConfig(method=MOO, seed=0, hidden=())
 
 
 def test_config_rejects_unknown_method():
@@ -149,12 +156,12 @@ def test_moo_near_zero_predictive_gradient_shifts_alpha_and_reduces_fidelity():
     ds = linear_regression_dataset()
     pre_cfg = TrainConfig(method=STL, seed=0, max_epochs=300, batch_size=32,
                           hidden=(8,), lr_theta=1e-2)
-    pre, _, _ = _joint_loop(ds, pre_cfg, _joint_method(pre_cfg))
+    [(pre, _, _)] = _joint_loop(ds, [pre_cfg])
     cfg = TrainConfig(
         method=MOO, seed=0, max_epochs=60, batch_size=32, hidden=(8,),
         lr_theta=1e-3, lr_phi=1e-2,
     )
-    _, _, report = _joint_loop(ds, cfg, _joint_method(cfg), init_model=pre)
+    [(_, _, report)] = _joint_loop(ds, [cfg], init_model=pre)
     pf = report.loss_pf_history
     # the min-norm weight leans toward the vanished predictive gradient
     assert float(np.mean(report.alpha_history)) > 0.5
@@ -189,7 +196,7 @@ def test_moo_zero_function_on_zero_targets_is_stationary_immediately():
         (Layer(np.zeros((1, 2)), np.zeros(1), IDENTITY),), REGRESSION_SCALAR
     )
     cfg = TrainConfig(method=MOO, seed=0, max_epochs=50, batch_size=40)
-    _, _, report = _joint_loop(ds, cfg, _joint_method(cfg), init_model=zero_f)
+    [(_, _, report)] = _joint_loop(ds, [cfg], init_model=zero_f)
     assert report.stopped_reason == STOP_STATIONARY
     assert report.epochs_run == 1
 
@@ -326,8 +333,7 @@ def test_distillation_co_satisfiable_drives_all_three_terms_down():
         method=JDIST, seed=0, max_epochs=800, batch_size=32, hidden=(8,),
         lr_theta=1e-3, lr_phi=1e-2,
     )
-    model, _, report = _joint_loop(ds, cfg, _joint_method(cfg, teacher),
-                                   init_model=teacher)
+    [(model, _, report)] = _joint_loop(ds, [cfg], init_model=teacher, teacher=teacher)
     X_train, y_train = subset(ds, TRAIN)
     student = forward_batch(model, X_train)
     teacher_out = forward_batch(teacher, X_train)
@@ -567,6 +573,138 @@ def test_predictive_only_and_distillation_loops_match_reference(data):
     ref = reference_joint_loop(ds, jdist_cfg, 0.5, init_model=teacher,
                                teacher=teacher)
     assert_same_run(ref, run_method(ds, jdist_cfg))
+
+
+# -- lockstep groups ------------------------------------------------------------
+
+SCAN_GROUP = [(MOO, None)] + [(GS, a / 10) for a in range(1, 10)]
+PAIRED_GROUP = [(m, None) for m in (MOO, STL, UNI, RND, JSEP, JDIST)]
+
+
+def reference_run(dataset, config):
+    """``config``'s run through ``reference_joint_loop`` alone: STL's is its
+    predictive-only phase, JDIST's trains from a reference teacher."""
+    if config.method in (STL, JDIST):
+        pred = reference_joint_loop(dataset, config, "pred-only", update_phi=False)
+        if config.method == STL:
+            return pred
+        return reference_joint_loop(dataset, config, 0.5, init_model=pred[0], teacher=pred[0])
+    rule = {MOO: "min-norm", UNI: 0.5, RND: "uniform", JSEP: "pred-only"}
+    return reference_joint_loop(dataset, config, rule.get(config.method, config.alpha))
+
+
+def assert_matches_reference_run(dataset, config, got):
+    ref = reference_run(dataset, config)
+    if config.method != STL:
+        assert_same_run(ref, got)
+        return
+    ref_model, _, phase1 = ref
+    model, _, report = got
+    assert np.array_equal(flatten_params(model), flatten_params(ref_model))
+    done = phase1["epochs_run"]
+    assert report.loss_pred_history[:done] == phase1["loss_pred_history"]
+    assert report.loss_pf_history[:done] == phase1["loss_pf_history"]
+    assert report.alpha_history[:done] == phase1["alpha_history"]
+    assert report.min_dot_pred == phase1["min_dot_pred"]
+    assert report.min_dot_pf == phase1["min_dot_pf"]
+
+
+@pytest.mark.parametrize("data", ["classification", "regression"])
+@pytest.mark.parametrize("group", [SCAN_GROUP, PAIRED_GROUP], ids=["scan", "paired"])
+@pytest.mark.parametrize("extra", [{}, {"inner_steps": 2}], ids=["inner1", "inner2"])
+def test_lockstep_group_matches_separate_reference_runs(data, group, extra):
+    ds = small_classification_dataset() if data == "classification" else (
+        linear_regression_dataset())
+    configs = [TrainConfig(method=m, alpha=a, seed=4, **LOOP, **extra) for m, a in group]
+    for config, got in zip(configs, run_methods(ds, configs)):
+        assert got[2].method == config.method
+        assert_matches_reference_run(ds, config, got)
+
+
+@pytest.mark.parametrize("data, stop_epochs", [("classification", {1, 2, 3, 4}),
+                                               ("regression", {3, 4})])
+def test_lockstep_rows_stopping_at_different_epochs_match_reference(data, stop_epochs):
+    """At the screened check's tolerance 0.1, the rows of one stack stop
+    stationary at different epochs or run to budget."""
+    ds = small_classification_dataset() if data == "classification" else (
+        linear_regression_dataset())
+    group = PAIRED_GROUP + [(GS, a) for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    configs = [TrainConfig(method=m, alpha=a, seed=4, **{**LOOP, "max_epochs": 6},
+                           stationarity_tol=0.1) for m, a in group]
+    results = run_methods(ds, configs)
+    for config, got in zip(configs, results):
+        assert_matches_reference_run(ds, config, got)
+    joint = [r for c, (_, _, r) in zip(configs, results) if c.method != STL]
+    assert {r.epochs_run for r in joint if r.stopped_reason == STOP_STATIONARY} == stop_epochs
+    assert any(r.stopped_reason == STOP_BUDGET for r in joint)
+
+
+@settings(max_examples=60)
+@given(
+    input_dim=st.integers(1, 8),
+    hidden=st.lists(st.integers(1, 16), min_size=0, max_size=3),
+    rows=st.integers(1, 64),
+    stack=st.integers(1, 6),
+    output_kind=st.sampled_from([REGRESSION_SCALAR, BINARY_PROBABILITY]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_passes_equal_per_row_passes(input_dim, hidden, rows, stack,
+                                             output_kind, seed):
+    rng = np.random.default_rng(seed)
+    template = init_mlp(input_dim, tuple(hidden), output_kind, rng)
+    theta = flatten_params(template) + 0.1 * rng.standard_normal(
+        (stack, param_count(template)))
+    X = rng.standard_normal((rows, input_dim))
+    upstream = rng.standard_normal((stack, rows))
+    params = _param_views(template, theta)
+    out, caches = _forward_cached(params, X)
+    grads = _backward_cached(params, caches, upstream)
+    blocks = _last_layer_backward(params, caches, upstream)
+    for k in range(stack):
+        row_params = _param_views(template, theta[k].copy())
+        row_out, row_caches = _forward_cached(row_params, X)
+        assert np.array_equal(out[k], row_out)
+        assert np.array_equal(grads[k], _backward_cached(row_params, row_caches, upstream[k]))
+        assert np.array_equal(blocks[k],
+                              _last_layer_backward(row_params, row_caches, upstream[k]))
+
+
+ALL_METHODS = PAIRED_GROUP + [(LINEAR, None), (GS, 0.1), (GS, 0.5), (GS, 0.9)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("generator, seed, lr_theta, lr_phi, hidden, survivors, messages", [
+    ("nonlinear", 2, 1e140, 1e140, (8, 4), {MOO, STL, JSEP, JDIST, LINEAR}, 1),
+    ("nonlinear", 1, 1e155, 1e155, (8,), {LINEAR}, 4),
+    ("linear_regression", 1, 1e100, 1e-3, (8, 4), {LINEAR}, 2),
+    ("linear_regression", 1, 1e100, 1e100, (8, 4), {LINEAR}, 2),
+])
+def test_diverging_rows_fail_as_alone_and_spare_the_rest(generator, seed, lr_theta, lr_phi,
+                                                         hidden, survivors, messages):
+    """Step sizes at which some rows of one stack overflow, each at the check
+    its run alone fails, while the others train on.  Between them the cases
+    hit all six of the step's checks."""
+    ds = tandem.split(tandem.make_synthetic(generator, 300, 5, 0.3, seed=seed), seed=seed)
+    configs = [TrainConfig(method=m, alpha=a, seed=seed, max_epochs=4, batch_size=32,
+                           hidden=hidden, lr_theta=lr_theta, lr_phi=lr_phi)
+               for m, a in ALL_METHODS]
+    errors, alive = set(), set()
+    for config, got in zip(configs, run_methods(ds, configs)):
+        try:
+            alone = run_method(ds, config)
+        except Exception as exc:
+            assert type(got) is type(exc) and str(got) == str(exc), config.method
+            errors.add(str(exc))
+            continue
+        alive.add(config.method)
+        model, g, report = got
+        assert (model is None) == (alone[0] is None)
+        if model is not None:
+            assert np.array_equal(flatten_params(model), flatten_params(alone[0]))
+        assert np.array_equal(surrogate_params(g), surrogate_params(alone[1]))
+        assert report == alone[2]
+    assert alive == survivors
+    assert len(errors) == messages
 
 
 def reference_fit_phi(X, targets, config):
