@@ -19,3 +19,11 @@ class DataError(TandemError):
 
 class IdxFormatError(DataError):
     """Malformed IDX image/label file."""
+
+
+def caught(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc

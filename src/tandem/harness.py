@@ -27,7 +27,7 @@ from .data import (
     make_synthetic,
     split,
 )
-from .errors import DataError
+from .errors import DataError, caught
 from .metrics import (
     GAUSSIAN,
     PATCH_DELETE,
@@ -43,7 +43,6 @@ from .trainers import (
     MOO,
     TrainConfig,
     TrainReport,
-    _caught,
     _eval_rows,
     local_surrogate_provider,
     report_to_dict,
@@ -404,22 +403,26 @@ def run_experiment(
     """
     name = dataset_name(spec.dataset)
     datasets: dict[int, Dataset] = {}
-    # (method index, seed index) -> the run's config, dataset and result;
-    # the first of them that is an exception is what ended the run.
-    grid: dict[tuple[int, int], tuple] = {}
-    for s, seed in enumerate(spec.seeds):
-        configs = [_caught(build_config, entry, spec.base_config, seed)
+    # Per seed: each entry's config, or the exception building it raised,
+    # and each built config's result, or the exception resolving the
+    # dataset raised.
+    seed_configs: list[list] = []
+    seed_results: list[dict[int, object]] = []
+    for seed in spec.seeds:
+        configs = [caught(build_config, entry, spec.base_config, seed)
                    for entry in spec.methods]
         ready = [m for m, config in enumerate(configs) if not isinstance(config, Exception)]
-        dataset, runs = None, {}
+        results: dict[int, object] = {}
         if ready:
-            dataset = datasets.get(seed) or _caught(
+            dataset = datasets.get(seed) or caught(
                 resolve_dataset, spec.dataset, seed, spec.base_dir)
-        if ready and not isinstance(dataset, Exception):
-            datasets[seed] = dataset
-            runs = dict(zip(ready, run_methods(dataset, [configs[m] for m in ready])))
-        for m, config in enumerate(configs):
-            grid[m, s] = (config, dataset, runs.get(m))
+            if isinstance(dataset, Exception):
+                results = dict.fromkeys(ready, dataset)
+            else:
+                datasets[seed] = dataset
+                results = dict(zip(ready, run_methods(dataset, [configs[m] for m in ready])))
+        seed_configs.append(configs)
+        seed_results.append(results)
 
     outcomes: list[RunOutcome] = []
     failures: list[RunFailure] = []
@@ -427,16 +430,16 @@ def run_experiment(
     for m, entry in enumerate(spec.methods):
         entry_label = str(entry.get("method", "?"))
         for s, seed in enumerate(spec.seeds):
-            config, dataset, result = grid[m, s]
-            try:
-                if isinstance(config, Exception):
-                    raise config
+            config = seed_configs[s][m]
+            if not isinstance(config, Exception):
                 entry_label = method_label(config)
-                if isinstance(dataset, Exception):
-                    raise dataset
-                if isinstance(result, Exception):
-                    raise result
+            result = config if isinstance(config, Exception) else seed_results[s][m]
+            if isinstance(result, Exception):
+                failures.append(_failure(name, entry_label, seed, result))
+                continue
+            try:
                 model, surrogate, report = result
+                dataset = datasets[seed]
                 outcome = RunOutcome(
                     method=entry_label, seed=seed,
                     model=model, surrogate=surrogate, report=report,
@@ -503,7 +506,7 @@ def pareto_scan(
         except Exception as exc:
             failures.append(_failure(name, "dataset", seed, exc))
             continue
-        configs = [_caught(build_config, entry, base, seed) for entry in entries]
+        configs = [caught(build_config, entry, base, seed) for entry in entries]
         runs = iter(run_methods(dataset, [c for c in configs if not isinstance(c, Exception)]))
         seed_points: list[tuple[str, float | None, TrainReport]] = []
         for entry, config in zip(entries, configs):

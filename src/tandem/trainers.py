@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import CLASSIFICATION, Dataset, TEST, TRAIN, subset
-from .errors import NumericError
+from .errors import NumericError, caught
 from .losses import (
     BCE,
     DISTILL,
@@ -290,7 +290,8 @@ def _joint_loop(
     stream and the step count.  The networks live in one (K, P) stack
     ``theta``, the layers (K, out, in) and (K, out) views into it, and the
     surrogates in a (K, d+1) stack ``phi``, coefficients then bias; each
-    stack has one Adam state.  With a ``teacher``, every run adds the
+    stack has one flat Adam state, stepped through a flat view of the
+    stack, since Adam is element-wise and every row shares its step count.  With a ``teacher``, every run adds the
     gradient of the distillation loss toward its outputs to the predictive
     gradient.
 
@@ -333,13 +334,21 @@ def _joint_loop(
     theta = np.tile(flatten_params(init_model), (len(configs), 1))
     params = _param_views(init_model, theta)
     phi = np.zeros((len(configs), dataset.n_features + 1))
-    theta_state = adam_init(theta.shape)
-    phi_state = adam_init(phi.shape)
+    theta_state = adam_init(theta.size)
+    phi_state = adam_init(phi.size)
     rng_batch = rng_for(shared.seed, "batch")
     rows = [_Row(i, c, _joint_method(c), rng_for(c.seed, "alpha"))
             for i, c in enumerate(configs)]
     results: list = [None] * len(configs)
     ended: dict[int, object] = {}
+
+    def masks() -> tuple[np.ndarray, np.ndarray]:
+        """The indices of the rows that keep their surrogate fixed and of
+        those that follow the predictive gradient alone."""
+        return (np.flatnonzero([not row.method.update_phi for row in rows]),
+                np.flatnonzero([row.method.weight == PRED_ONLY for row in rows]))
+
+    fixed, pred_only = masks()
 
     def gradients(params, rows, f_out, caches, g_out, backward=_backward_cached):
         """Predictive gradient, the same plus any distillation term, and
@@ -356,7 +365,7 @@ def _joint_loop(
 
     def check(message: str, *arrays: np.ndarray, exempt: np.ndarray | None = None) -> None:
         """Rows with a non-finite entry in any of the stacks ``arrays``,
-        bar those flagged in ``exempt``, end with NumericError(message), as
+        bar the indices ``exempt``, end with NumericError(message), as
         their runs alone would, unless an earlier check ended them.  Their
         entries are zeroed, so no stacked call downstream raises.
 
@@ -368,7 +377,7 @@ def _joint_loop(
             return
         bad = ~np.logical_and.reduce([np.isfinite(values).all(axis=-1) for values in arrays])
         if exempt is not None:
-            bad &= ~exempt
+            bad[exempt] = False
         for k in np.flatnonzero(bad).tolist():
             ended.setdefault(k, NumericError(message))
         for values in arrays:
@@ -427,38 +436,38 @@ def _joint_loop(
     def settle() -> None:
         """Finish the ended rows and drop them from the stack, as
         ``_fit_phi`` drops its finished fits."""
-        nonlocal rows, theta, phi, params
+        nonlocal rows, theta, phi, params, fixed, pred_only
         for k, outcome in ended.items():
             finish(k, outcome)
         keep = np.array([k not in ended for k in range(len(rows))], dtype=bool)
         ended.clear()
         rows = [row for row, kept in zip(rows, keep) if kept]
+        for state, stack in ((theta_state, theta), (phi_state, phi)):
+            state.first_moment = state.first_moment.reshape(stack.shape)[keep].ravel()
+            state.second_moment = state.second_moment.reshape(stack.shape)[keep].ravel()
         theta, phi = theta[keep], phi[keep]
-        for state in (theta_state, phi_state):
-            state.first_moment = state.first_moment[keep]
-            state.second_moment = state.second_moment[keep]
         params = _param_views(init_model, theta)
+        fixed, pred_only = masks()
 
     for epoch in range(shared.max_epochs):
         for row in rows:
             row.step_alphas.clear()
         for batch in _batches(rng_batch, X.shape[0], shared.batch_size):
             Xb = X[batch]
-            fixed = np.array([not row.method.update_phi for row in rows])
-            pred_only = np.array([row.method.weight == PRED_ONLY for row in rows])
             try:
                 f_out, caches = _forward_cached(params, Xb)
-                if not fixed.all():
+                if fixed.size < len(rows):
                     for _ in range(shared.inner_steps):
                         # The black-box output is the fitting target, never differentiated.
                         grad = _grad_flat(Xb, f_out - _predict_flat(phi, Xb))
-                        # A zero step leaves a fixed surrogate and its moments at zero.
-                        grad[fixed] = 0.0
+                        if fixed.size:
+                            # A zero step leaves a fixed surrogate and its moments at zero.
+                            grad[fixed] = 0.0
                         try:
-                            adam_step(phi, grad, phi_state, shared.lr_phi)
+                            adam_step(phi.reshape(-1), grad.reshape(-1), phi_state, shared.lr_phi)
                         except NumericError:
                             check("gradient has non-finite entries", grad)
-                            adam_step(phi, grad, phi_state, shared.lr_phi)
+                            adam_step(phi.reshape(-1), grad.reshape(-1), phi_state, shared.lr_phi)
                         check("surrogate parameters must be finite", phi)
                 g_out = _predict_flat(phi, Xb)
                 try:
@@ -474,25 +483,26 @@ def _joint_loop(
                     except (NumericError, ValueError) as exc:
                         ended.setdefault(k, exc)
                         alphas[k] = np.nan
-                if pred_only.all():
+                if pred_only.size == len(rows):
                     d = g_first
                 else:
                     d = alphas[:, None] * g_first + (1.0 - alphas)[:, None] * g_pf
-                    # Exactly g_first: 1.0 * a + 0.0 * b is not a where b is not finite.
-                    d[pred_only] = g_first[pred_only]
+                    if pred_only.size:
+                        # Exactly g_first: 1.0 * a + 0.0 * b is not a where b is not finite.
+                        d[pred_only] = g_first[pred_only]
                 for row, alpha, d_row, a, b in zip(rows, alphas, d, g_pred, g_pf):
                     row.min_dot_pred = min(row.min_dot_pred, float(d_row @ a))
                     row.min_dot_pf = min(row.min_dot_pf, float(d_row @ b))
                     row.step_alphas.append(float(alpha))
                 try:
-                    adam_step(theta, d, theta_state, shared.lr_theta)
+                    adam_step(theta.reshape(-1), d.reshape(-1), theta_state, shared.lr_theta)
                 except NumericError:
                     # A mixing row whose gradient pair is not finite fails in
                     # the min-norm solver or the combination, before Adam.
                     check("non-finite gradient passed to min-norm solver", g_first, g_pf,
                           exempt=pred_only)
                     check("gradient has non-finite entries", d)
-                    adam_step(theta, d, theta_state, shared.lr_theta)
+                    adam_step(theta.reshape(-1), d.reshape(-1), theta_state, shared.lr_theta)
                 check("layer parameters must be finite", theta)
             except Exception as exc:
                 for k in range(len(rows)):
@@ -699,12 +709,14 @@ def local_surrogate_provider(config: TrainConfig):
     return provide
 
 
-def _caught(fn, *args):
-    """``fn(*args)``, or the exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
+def _stage(dataset: Dataset, configs: list[TrainConfig],
+           teacher: MlpModel | None = None) -> list:
+    """One lockstep stack of :func:`_joint_loop`, started from ``teacher``
+    when given; an error in its set-up ends every run of the stack."""
+    stage = caught(_joint_loop, dataset, configs, teacher, teacher)
+    if isinstance(stage, Exception):
+        return [stage] * len(configs)
+    return stage
 
 
 def run_methods(dataset: Dataset, configs: list[TrainConfig]) -> list:
@@ -723,7 +735,7 @@ def run_methods(dataset: Dataset, configs: list[TrainConfig]) -> list:
     groups: dict[TrainConfig, list[int]] = {}
     for i, config in enumerate(configs):
         if config.method == LINEAR:
-            fitted = _caught(train_linear, dataset, config)
+            fitted = caught(train_linear, dataset, config)
             results[i] = fitted if isinstance(fitted, Exception) else (None, *fitted)
         else:
             # Keyed by the group's predictive-only config.
@@ -731,14 +743,13 @@ def run_methods(dataset: Dataset, configs: list[TrainConfig]) -> list:
     for pred_config, members in groups.items():
         joint = [i for i in members if configs[i].method not in (STL, JDIST)]
         pred_row = [pred_config] if len(joint) < len(members) else []
-        stage = _joint_loop(dataset, pred_row + [configs[i] for i in joint])
+        stage = _stage(dataset, pred_row + [configs[i] for i in joint])
         pred = stage.pop(0) if pred_row else None
         results_of = dict(zip(joint, stage))
         distill = [i for i in members if configs[i].method == JDIST]
         if distill and not isinstance(pred, Exception):
             teacher = pred[0]
-            stage = _joint_loop(dataset, [configs[i] for i in distill],
-                                init_model=teacher, teacher=teacher)
+            stage = _stage(dataset, [configs[i] for i in distill], teacher)
             results_of.update(zip(distill, stage))
         for i in members:
             if i in results_of:
@@ -746,7 +757,7 @@ def run_methods(dataset: Dataset, configs: list[TrainConfig]) -> list:
             elif isinstance(pred, Exception):
                 results[i] = pred
             else:
-                results[i] = _caught(_fit_stl_surrogate, dataset, configs[i], pred)
+                results[i] = caught(_fit_stl_surrogate, dataset, configs[i], pred)
     return results
 
 

@@ -35,6 +35,7 @@ from tandem.harness import (
     spec_from_dict,
     write_failures,
 )
+from tandem import trainers
 from tandem.moo import dominates
 from tandem.surrogate import init_surrogate
 from tandem.trainers import GS, LINEAR, MOO, STL, TrainConfig
@@ -610,3 +611,42 @@ def test_pareto_scan_with_a_diverging_run_writes_the_sequential_files(tmp_path):
     )
     assert (tmp_path / "failures.json").read_text() == (
         '{\n  "failures": [\n' + DIVERGED_GS + "\n  ]\n}\n")
+
+
+# -- a stack failing before its first step ---------------------------------------
+
+
+def _init_failing(monkeypatch, fails):
+    """Make building a network raise MemoryError whenever ``fails(hidden)``."""
+    real = trainers.init_mlp
+
+    def init_mlp(n_features, hidden, output_kind, rng):
+        if fails(hidden):
+            raise MemoryError("cannot allocate the stack")
+        return real(n_features, hidden, output_kind, rng)
+
+    monkeypatch.setattr(trainers, "init_mlp", init_mlp)
+
+
+def test_experiment_stage_failing_at_set_up_fails_only_its_runs(tmp_path, monkeypatch):
+    _init_failing(monkeypatch, lambda hidden: hidden == (6,))
+    spec = quick_spec(tmp_path, [{"method": MOO}, {"method": STL, "hidden": [6]},
+                                 {"method": "JDIST", "hidden": [6]},
+                                 {"method": GS, "alpha": 0.5}], [0, 1])
+    rows, outcomes, failures = run_experiment(spec)
+    assert [(o.method, o.seed) for o in outcomes] == [
+        (MOO, 0), (MOO, 1), ("GS(0.5)", 0), ("GS(0.5)", 1)]
+    assert [(f.method, f.seed, f.error_type, f.error) for f in failures] == [
+        (method, seed, "MemoryError", "cannot allocate the stack")
+        for method in (STL, "JDIST") for seed in (0, 1)]
+    assert {r.method for r in rows} == {MOO, "GS(0.5)"}
+
+
+def test_pareto_scan_stage_failing_at_set_up_spares_the_next_seed(tmp_path, monkeypatch):
+    calls = []
+    _init_failing(monkeypatch, lambda hidden: calls.append(hidden) or len(calls) == 1)
+    points, failures = pareto_scan(quick_spec(tmp_path, [{"method": MOO}], [0, 1]))
+    assert [(f.method, f.seed, f.error_type) for f in failures] == [
+        (MOO, 0, "MemoryError")] + [(f"GS({a / 10:g})", 0, "MemoryError") for a in range(1, 10)]
+    assert [(p.method, p.seed) for p in points] == [(MOO, 1)] + [
+        (f"GS({a / 10:g})", 1) for a in range(1, 10)]
