@@ -34,6 +34,7 @@ from .metrics import (
     NeighborhoodSpec,
     global_surrogate_provider,
     gnf,
+    local_surrogate_provider,
 )
 from .moo import dominates
 from .nn import MlpModel, mlp_to_dict
@@ -44,7 +45,6 @@ from .trainers import (
     TrainConfig,
     TrainReport,
     _eval_rows,
-    local_surrogate_provider,
     report_to_dict,
     run_methods,
 )
@@ -75,8 +75,8 @@ class GnfSettings:
     def __post_init__(self) -> None:
         if self.points < 1 or self.count < 1:
             raise DataError("gnf points and count must be >= 1")
-        if not self.sigma2 > 0:
-            raise DataError("gnf sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:
+            raise DataError("gnf sigma2 must be positive and finite")
         if self.kind not in (GAUSSIAN, PATCH_DELETE):
             raise DataError(f"unknown gnf neighborhood kind {self.kind!r}")
         if self.patch_size < 1 or self.num_patches < 1:
@@ -302,16 +302,18 @@ def evaluate_gnf(
 ) -> float | None:
     """GNF of one trained model over the first test instances.
 
-    Uses per-instance local fits when settings.local is set, otherwise the
-    given global surrogate.  The linear-only method has no black-box to
-    explain, so its GNF is absent (None).
+    Uses per-instance local fits, each on its own held-out neighborhood
+    draw, when settings.local is set, otherwise the given global surrogate.
+    The linear-only method has no black-box to explain, so its GNF is
+    absent (None).  ``config`` is accepted for its callers and not read:
+    local fits take no training settings.
     """
     if model is None:
         return None
     X = _eval_rows(dataset)[0][: settings.points]
     spec = _neighborhood_spec(settings, dataset, seed)
     if settings.local:
-        provider = local_surrogate_provider(config)
+        provider = local_surrogate_provider
     else:
         provider = global_surrogate_provider(surrogate)
     return gnf(model, provider, X, spec)

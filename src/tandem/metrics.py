@@ -5,6 +5,10 @@ its surrogate over a dataset.  GNF averages the same disagreement over
 perturbations of each instance, then over instances, with each instance's
 perturbations drawn from a derived seed so results are order-independent
 and reproducible.  It evaluates all instances' neighborhoods as one stack.
+
+Local GNF fits each instance's surrogate in closed form on a second,
+independent neighborhood of that instance and scores it on the same
+neighborhoods as global GNF, so the value is a held-out fidelity.
 """
 
 from __future__ import annotations
@@ -22,10 +26,6 @@ from .surrogate import LinearSurrogate, _predict_flat, predict_batch, surrogate_
 
 GAUSSIAN = "gaussian"
 PATCH_DELETE = "patch_delete"
-
-# Neighborhoods (P, count, d) and their black-box outputs (P, count) to
-# one flat (phi, bias) surrogate per neighborhood, shape (P, d+1).
-SurrogateProvider = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class NeighborhoodSpec:
             raise ValueError(f"unknown neighborhood kind {self.kind!r}")
         if self.count < 1:
             raise ValueError("neighborhood count must be at least 1")
-        if self.kind == GAUSSIAN and self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if self.kind == GAUSSIAN and not 0 < self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be positive and finite")
         if self.kind == PATCH_DELETE:
             if self.image_dims is None:
                 raise ValueError("patch deletion requires image_dims")
@@ -60,6 +60,11 @@ class NeighborhoodSpec:
                 raise ValueError("patch must fit inside the image")
             if self.num_patches < 1:
                 raise ValueError("num_patches must be at least 1")
+
+
+# The black-box, the instances (P, d) and their neighborhood spec to one
+# flat (phi, bias) surrogate per instance, shape (P, d+1).
+SurrogateProvider = Callable[[MlpModel, np.ndarray, NeighborhoodSpec], np.ndarray]
 
 
 def f1_score(predicted, true) -> float:
@@ -129,14 +134,48 @@ def make_neighborhood(
     return neighbors
 
 
+def neighborhoods(X: np.ndarray, spec: NeighborhoodSpec, label: str) -> np.ndarray:
+    """The neighborhoods of the rows of X as one (P, count, d) stack,
+    instance i's drawn from the stream (spec.seed, label, i)."""
+    return np.stack([make_neighborhood(X[i], spec, rng_for(spec.seed, label, i))
+                     for i in range(X.shape[0])])
+
+
 def global_surrogate_provider(g: LinearSurrogate) -> SurrogateProvider:
     """Provider reusing one global surrogate for every instance."""
     params = surrogate_params(g)
 
-    def provide(neighborhoods: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(params, (neighborhoods.shape[0], params.size))
+    def provide(f: MlpModel, X: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
+        return np.broadcast_to(params, (X.shape[0], params.size))
 
     return provide
+
+
+def _fit_local(neighbors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares linear fits to targets (K, N) over neighborhoods
+    (K, N, d): the (K, d+1) parameters and the rank of each fit's design.
+
+    ``lstsq`` gives the exact fit of a full-rank design and the
+    minimum-norm fit of a rank-deficient one.  Non-finite inputs raise
+    before LAPACK sees them.
+    """
+    design = np.concatenate([neighbors, np.ones(neighbors.shape[:2] + (1,))], axis=2)
+    if not (np.isfinite(design).all() and np.isfinite(targets).all()):
+        raise NumericError("non-finite loss inputs")
+    fits = [np.linalg.lstsq(a, b, rcond=None) for a, b in zip(design, targets)]
+    return np.array([fit[0] for fit in fits]), np.array([fit[2] for fit in fits])
+
+
+def local_surrogate_provider(f: MlpModel, X: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
+    """Provider fitting a fresh surrogate to f around every instance.
+
+    Instance i's fit uses its own neighborhood from the stream
+    (spec.seed, "gnf-fit", i), independent of the one :func:`gnf` scores
+    it on.  A rank-deficient design, such as fewer neighbors than d+1,
+    interpolates its fit draw, so only a held-out draw measures fidelity.
+    """
+    fit = neighborhoods(X, spec, "gnf-fit")
+    return _fit_local(fit, forward_batch(f, fit))[0]
 
 
 def gnf(
@@ -149,18 +188,15 @@ def gnf(
 
     Instance i's neighborhood is drawn from a seed derived from
     (spec.seed, "gnf", i).  The black-box runs once over the stack of
-    neighborhoods; the provider sees the stack and those outputs and
-    returns the surrogate to evaluate against for each instance.
+    neighborhoods, and the provider gives the surrogate to evaluate
+    against for each instance.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ShapeError(f"expected nonempty 2-d data, got shape {X.shape}")
-    neighbors = np.stack([
-        make_neighborhood(X[i], spec, rng_for(spec.seed, "gnf", i))
-        for i in range(X.shape[0])
-    ])
+    neighbors = neighborhoods(X, spec, "gnf")
     f_out = forward_batch(f, neighbors)
-    g_out = _predict_flat(provider(neighbors, f_out), neighbors)
+    g_out = _predict_flat(provider(f, X, spec), neighbors)
     if not (np.isfinite(f_out).all() and np.isfinite(g_out).all()):
         raise NumericError("non-finite loss inputs")
     return float(np.mean(np.mean((f_out - g_out) ** 2, axis=1)))

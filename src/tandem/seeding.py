@@ -17,8 +17,8 @@ is the list of 32-bit words [seed, code, ...], so these collide:
 - a name and its crc32 code given as an index are the same label.
 
 The package's own labels avoid all three: every stream is named by its
-own string, the one index (a GNF instance number) always follows its name,
-and no label reaches 2**32.  Seeds are not capped.
+own string, the only indices (GNF instance numbers) always follow their
+stream's name, and no label reaches 2**32.  Seeds are not capped.
 """
 
 from __future__ import annotations

@@ -19,6 +19,9 @@ is the one-run case.
 
 While a fit runs, the networks and the surrogates are flat rows stepped
 in place by Adam; their model objects are built once, when a run ends.
+STL's phase 2 fits its surrogate to the frozen network by full-batch Adam.
+``fit_local_surrogate`` is a one-instance view of the closed-form local
+fit that local GNF uses (:mod:`tandem.metrics`).
 
 Metrics in a report are computed on the test split, falling back to all
 rows when the dataset has no test rows.
@@ -41,7 +44,7 @@ from .losses import (
     loss_pred,
     upstream_derivative,
 )
-from .metrics import f1_score, global_fidelity, mse_metric
+from .metrics import _fit_local, f1_score, global_fidelity, mse_metric
 from .moo import DEFAULT_STATIONARITY_TOL, _check_alpha, is_pareto_stationary, solve_alpha
 from .nn import (
     BINARY_PROBABILITY,
@@ -87,8 +90,7 @@ class TrainConfig:
 
     ``alpha`` only applies to GS.  ``inner_steps`` is the number of
     surrogate refinements per black-box step.  ``phi_max_epochs`` and
-    ``phi_tol`` govern the surrogate-only fitting stage used by STL and by
-    degenerate local fits.
+    ``phi_tol`` govern STL's surrogate-only phase 2 and nothing else.
     """
 
     method: str = MOO
@@ -434,8 +436,7 @@ def _joint_loop(
         ))
 
     def settle() -> None:
-        """Finish the ended rows and drop them from the stack, as
-        ``_fit_phi`` drops its finished fits."""
+        """Finish the ended rows and drop them from the stack."""
         nonlocal rows, theta, phi, params, fixed, pred_only
         for k, outcome in ended.items():
             finish(k, outcome)
@@ -527,46 +528,28 @@ def _joint_loop(
 
 
 def _fit_phi(X: np.ndarray, targets: np.ndarray, config: TrainConfig,
-             history: list[np.ndarray] | None = None) -> tuple[np.ndarray, list[str]]:
-    """Full-batch Adam fits of zero-initialised surrogates to fixed targets,
-    one per batch of the stack X (K, N, d) with targets (K, N).
+             history: list[float]) -> tuple[np.ndarray, str]:
+    """Full-batch Adam fit of a zero-initialised surrogate to fixed targets.
 
-    A fit stops when its per-epoch loss decrease falls below ``phi_tol`` or
-    after ``phi_max_epochs`` epochs, and leaves the working arrays, so the
-    running fits share one Adam step count and each moves as it would
-    alone.  Each epoch's residual serves both its stop test and the next
-    epoch's gradient.  Returns the (K, d+1) parameters and each fit's stop
-    reason; each epoch's losses of the running fits go to ``history``.
+    The fit stops when its per-epoch loss decrease falls below ``phi_tol``
+    or after ``phi_max_epochs`` epochs.  Each epoch's residual serves both
+    its stop test and the next epoch's gradient.  Returns the (d+1)
+    parameters and the stop reason; each epoch's loss goes to ``history``.
     """
-    phi = np.zeros((X.shape[0], X.shape[2] + 1))
-    result = np.empty_like(phi)
-    running = np.arange(X.shape[0])
-    state = adam_init(phi.shape)
-    stopped = np.full(X.shape[0], STOP_BUDGET, dtype=object)
+    phi = np.zeros(X.shape[1] + 1)
+    state = adam_init(phi.size)
     # sum / N is np.mean's arithmetic without its per-call overhead.
     residual = targets - _predict_flat(phi, X)
-    prev = (residual ** 2).sum(axis=-1) / X.shape[1]
+    prev = (residual ** 2).sum() / X.shape[0]
     for _ in range(config.phi_max_epochs):
         _phi_step(phi, _grad_flat(X, residual), state, config.lr_phi)
         residual = targets - _predict_flat(phi, X)
-        cur = (residual ** 2).sum(axis=-1) / X.shape[1]
-        if history is not None:
-            history.append(cur)
-        done = prev - cur < config.phi_tol
-        if done.any():
-            result[running[done]] = phi[done]
-            stopped[running[done]] = STOP_STATIONARY
-            keep = ~done
-            running, X, targets, residual, cur = (
-                running[keep], X[keep], targets[keep], residual[keep], cur[keep])
-            phi = phi[keep]
-            state.first_moment = state.first_moment[keep]
-            state.second_moment = state.second_moment[keep]
-            if running.size == 0:
-                break
+        cur = (residual ** 2).sum() / X.shape[0]
+        history.append(float(cur))
+        if prev - cur < config.phi_tol:
+            return phi, STOP_STATIONARY
         prev = cur
-    result[running] = phi
-    return result, list(stopped)
+    return phi, STOP_BUDGET
 
 
 def train_stl(
@@ -589,10 +572,9 @@ def _fit_stl_surrogate(dataset: Dataset, config: TrainConfig, pred_run: tuple
     model, _, phase1 = pred_run
     X, y = subset(dataset, TRAIN)
     outputs = forward_batch(model, X)
-    history: list[np.ndarray] = []
-    params, (stopped,) = _fit_phi(X[None], outputs[None], config, history)
-    g = surrogate_from_params(params[0])
-    pf_hist = [float(losses[0]) for losses in history]
+    pf_hist: list[float] = []
+    params, stopped = _fit_phi(X, outputs, config, pf_hist)
+    g = surrogate_from_params(params)
     final_pred = loss_pred(outputs, y, _pred_kind(dataset))
     metric, gf = _final_metrics(model, g, dataset)
     report = TrainReport(
@@ -660,53 +642,25 @@ def train_linear(dataset: Dataset, config: TrainConfig) -> tuple[LinearSurrogate
     return surrogate_from_params(phi), report
 
 
-def _fit_local(neighborhoods: np.ndarray, targets: np.ndarray,
-               config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares linear fits to targets (K, N) over neighborhoods
-    (K, N, d): the (K, d+1) parameters and which fits were degenerate.
-
-    Full-rank designs are solved exactly, one at a time; the rank-deficient
-    ones fall back to one batched Adam fit from the zero surrogate.
-    """
-    design = np.concatenate(
-        [neighborhoods, np.ones(neighborhoods.shape[:2] + (1,))], axis=2)
-    degenerate = np.linalg.matrix_rank(design) < design.shape[2]
-    params = np.empty((design.shape[0], design.shape[2]))
-    for k in np.flatnonzero(~degenerate):
-        params[k] = np.linalg.lstsq(design[k], targets[k], rcond=None)[0]
-    if degenerate.any():
-        params[degenerate] = _fit_phi(
-            neighborhoods[degenerate], targets[degenerate], config)[0]
-    return params, degenerate
-
-
 def fit_local_surrogate(
     f: MlpModel,
     x: np.ndarray,
     neighborhood: np.ndarray,
-    config: TrainConfig,
 ) -> tuple[LinearSurrogate, bool]:
     """Least-squares linear fit to f's outputs over one perturbation set.
 
-    Full-rank designs are solved exactly; rank-deficient ones fall back to
-    a deterministic Adam fit from the zero surrogate and are flagged as
-    degenerate in the returned boolean.
+    A full-rank design is solved exactly and a rank-deficient one by its
+    minimum-norm solution, flagged as degenerate in the returned boolean.
+    Local GNF fits every instance at once through
+    :func:`tandem.metrics.local_surrogate_provider` and never calls this;
+    it stays because the benchmark traces it by name, until a change to
+    the benchmark drops that trace.
     """
     nb = np.asarray(neighborhood, dtype=np.float64)
     if nb.ndim != 2 or nb.shape[1] != np.asarray(x).shape[0]:
         raise ValueError("neighborhood must be rows of perturbed copies of x")
-    params, degenerate = _fit_local(nb[None], forward_batch(f, nb)[None], config)
-    return surrogate_from_params(params[0]), bool(degenerate[0])
-
-
-def local_surrogate_provider(config: TrainConfig):
-    """Provider fitting a fresh local surrogate to every neighborhood of
-    the stack, as one batched fit."""
-
-    def provide(neighborhoods: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-        return _fit_local(neighborhoods, outputs, config)[0]
-
-    return provide
+    params, ranks = _fit_local(nb[None], forward_batch(f, nb)[None])
+    return surrogate_from_params(params[0]), bool(ranks[0] < nb.shape[1] + 1)
 
 
 def _stage(dataset: Dataset, configs: list[TrainConfig],

@@ -259,6 +259,7 @@ def test_gnf_subcommand_local_and_global(tmp_path, descriptor_path, capsys):
     (["--kind", "patch_delete"], DESCRIPTOR, "image_dims"),
     (["--points", "0"], DESCRIPTOR, "points"),
     (["--surrogate", "absent.json"], DESCRIPTOR, "absent.json"),
+    (["--sigma2", "inf"], DESCRIPTOR, "sigma2 must be positive and finite"),
 ])
 def test_gnf_bad_input_reports_failure(tmp_path, capsys, extra, descriptor, message):
     dataset = resolve_dataset(DESCRIPTOR, seed=0)

@@ -458,7 +458,7 @@ def test_experiment_spec_validates_on_construction():
 
 @pytest.mark.parametrize("bad", [
     {"points": 0}, {"count": 0}, {"sigma2": 0.0}, {"sigma2": -0.1},
-    {"kind": "blur"}, {"patch_size": 0}, {"num_patches": 0},
+    {"kind": "blur"}, {"patch_size": 0}, {"num_patches": 0}, {"sigma2": float("inf")},
 ])
 def test_gnf_settings_reject_out_of_range_values(bad):
     with pytest.raises(DataError):

@@ -153,6 +153,9 @@ def test_neighborhood_spec_validation():
         NeighborhoodSpec(count=0)
     with pytest.raises(ValueError):
         NeighborhoodSpec(sigma2=0.0)
+    for sigma2 in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            NeighborhoodSpec(sigma2=sigma2)
     with pytest.raises(ValueError):
         NeighborhoodSpec(kind=PATCH_DELETE, image_dims=None)
     with pytest.raises(ValueError):

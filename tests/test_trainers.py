@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import tandem
 from conftest import reference_adam, reference_adam_init
 from tandem.data import CLASSIFICATION, REGRESSION, TEST, TRAIN, Dataset, subset
+from tandem.errors import NumericError
 from tandem.losses import (
     BCE,
     DISTILL,
@@ -25,13 +26,16 @@ from tandem.metrics import (
     PATCH_DELETE,
     NeighborhoodSpec,
     gnf,
+    local_surrogate_provider,
     make_neighborhood,
+    neighborhoods,
 )
 from tandem.moo import combine_direction, is_pareto_stationary, solve_alpha
 from tandem.nn import (
     BINARY_PROBABILITY,
     IDENTITY,
     REGRESSION_SCALAR,
+    RELU,
     Layer,
     MlpModel,
     flatten_params,
@@ -46,6 +50,7 @@ from tandem.nn import _backward_cached, _forward_cached, _last_layer_backward, _
 from tandem.seeding import rng_for
 from tandem.surrogate import (
     LinearSurrogate,
+    _predict_flat,
     init_surrogate,
     predict_batch,
     surrogate_from_params,
@@ -67,7 +72,6 @@ from tandem.trainers import (
     TrainConfig,
     _joint_loop,
     fit_local_surrogate,
-    local_surrogate_provider,
     report_to_dict,
     run_method,
     run_methods,
@@ -840,7 +844,7 @@ def test_local_fit_recovers_linear_function_exactly():
     )
     x = np.array([0.3, -0.5, 1.1])
     neighborhood = x + 0.3 * np.random.default_rng(5).standard_normal((12, 3))
-    g, degenerate = fit_local_surrogate(f, x, neighborhood, TrainConfig(method=MOO, seed=0))
+    g, degenerate = fit_local_surrogate(f, x, neighborhood)
     assert not degenerate
     assert np.abs(g.phi - w).max() <= 1e-3
     assert abs(g.bias - 0.15) <= 1e-3
@@ -853,118 +857,115 @@ def test_local_fit_flags_degenerate_neighborhood():
     )
     x = np.array([0.3, -0.5, 1.1])
     neighborhood = np.repeat(x[None, :], 8, axis=0)
-    cfg = TrainConfig(
-        method=MOO, seed=0, lr_phi=1e-3, phi_max_epochs=20000, phi_tol=1e-14
-    )
-    g, degenerate = fit_local_surrogate(f, x, neighborhood, cfg)
+    g, degenerate = fit_local_surrogate(f, x, neighborhood)
     assert degenerate
     assert abs(predict_batch(g, neighborhood)[0] - forward_batch(f, x[None, :])[0]) <= 1e-3
-
-
-@pytest.mark.parametrize("output_kind", [REGRESSION_SCALAR, BINARY_PROBABILITY])
-@pytest.mark.parametrize("phi_tol, stop", [(1e-5, STOP_STATIONARY),
-                                           (-np.inf, STOP_BUDGET)])
-def test_degenerate_local_fit_matches_reference(output_kind, phi_tol, stop):
-    f = init_mlp(4, (6,), output_kind, rng_for(2, "init-theta"))
-    x = np.array([0.3, -0.5, 1.1, 0.2])
-    # Four rows cannot determine five coefficients, so the fit is degenerate.
-    neighborhood = x + 0.3 * np.random.default_rng(8).standard_normal((4, 4))
-    cfg = TrainConfig(method=MOO, seed=0, lr_phi=1e-2, phi_max_epochs=400,
-                      phi_tol=phi_tol)
-    g, degenerate = fit_local_surrogate(f, x, neighborhood, cfg)
-    ref_g, _, stopped = reference_fit_phi(neighborhood,
-                                          forward_batch(f, neighborhood), cfg)
-    assert degenerate and stopped == stop
-    assert np.array_equal(surrogate_params(g), surrogate_params(ref_g))
 
 
 def test_local_fit_is_deterministic():
     f = exact_linear_teacher()
     x = np.array([0.3, -0.5, 1.1])
     neighborhood = np.repeat(x[None, :], 4, axis=0)
-    cfg = TrainConfig(method=MOO, seed=0)
-    g_a, _ = fit_local_surrogate(f, x, neighborhood, cfg)
-    g_b, _ = fit_local_surrogate(f, x, neighborhood, cfg)
+    g_a, _ = fit_local_surrogate(f, x, neighborhood)
+    g_b, _ = fit_local_surrogate(f, x, neighborhood)
     assert np.array_equal(g_a.phi, g_b.phi)
     assert g_a.bias == g_b.bias
 
 
-def reference_local_gnf(f, X, spec, config):
-    """Local GNF one instance at a time with the public per-call API:
-    returns each instance's surrogate parameters, its Adam fit's
-    (epochs, stop reason) or None for an exact fit, and the GNF."""
-    params, fits, terms = [], [], []
+def reference_local_gnf(f, X, spec):
+    """Local GNF one instance at a time with the public per-call API: each
+    surrogate is fitted by lstsq on the instance's ("gnf-fit", i) draw and
+    scored on its ("gnf", i) draw.  Returns the GNF and each fit's rank."""
+    terms, ranks = [], []
     for i in range(X.shape[0]):
+        fit = make_neighborhood(X[i], spec, rng_for(spec.seed, "gnf-fit", i))
+        design = np.column_stack([fit, np.ones(fit.shape[0])])
+        solution, _, rank, _ = np.linalg.lstsq(design, forward_batch(f, fit), rcond=None)
+        g = LinearSurrogate(solution[:-1], solution[-1])
         neighbors = make_neighborhood(X[i], spec, rng_for(spec.seed, "gnf", i))
-        targets = forward_batch(f, neighbors)
-        design = np.column_stack([neighbors, np.ones(neighbors.shape[0])])
-        if np.linalg.matrix_rank(design) == design.shape[1]:
-            solution = np.linalg.lstsq(design, targets, rcond=None)[0]
-            g, fit = LinearSurrogate(solution[:-1], solution[-1]), None
-        else:
-            g, history, stopped = reference_fit_phi(neighbors, targets, config)
-            fit = (len(history), stopped)
-        params.append(surrogate_params(g))
-        fits.append(fit)
-        terms.append(loss_point_fidelity(targets, predict_batch(g, neighbors)))
-    return np.array(params), fits, float(np.mean(terms))
+        terms.append(loss_point_fidelity(forward_batch(f, neighbors),
+                                         predict_batch(g, neighbors)))
+        ranks.append(rank)
+    return float(np.mean(terms)), ranks
 
 
-def batched_local_params(f, X, spec, config):
-    """The local provider's parameters for the stacked neighborhoods of X,
-    with the network run once per neighborhood."""
-    neighbors = np.stack([make_neighborhood(X[i], spec, rng_for(spec.seed, "gnf", i))
-                          for i in range(X.shape[0])])
-    outputs = np.stack([forward_batch(f, nb) for nb in neighbors])
-    return local_surrogate_provider(config)(neighbors, outputs)
-
-
-# Six instances with four features.  At four neighbors per instance every
-# design is rank-deficient; at this tolerance and budget the Adam fits stop
-# at different epochs and one runs to phi_max_epochs.
-LOCAL_CONFIG = TrainConfig(method=MOO, seed=0, lr_phi=1e-2, phi_max_epochs=200,
-                           phi_tol=1e-7)
 LOCAL_X = np.random.default_rng(7).standard_normal((6, 4))
 
 
 @pytest.mark.parametrize("output_kind", [REGRESSION_SCALAR, BINARY_PROBABILITY])
-def test_batched_degenerate_local_fits_match_per_instance_reference(output_kind):
+@pytest.mark.parametrize("count", [4, 12])
+def test_local_gnf_matches_per_instance_reference(output_kind, count):
+    # Six instances with four features: four neighbors cannot determine
+    # five coefficients, twelve can.
     f = init_mlp(4, (6,), output_kind, rng_for(2, "init-theta"))
-    spec = NeighborhoodSpec(kind=GAUSSIAN, count=4, sigma2=0.3, seed=5)
-    ref_params, fits, ref_gnf = reference_local_gnf(f, LOCAL_X, spec, LOCAL_CONFIG)
-    assert None not in fits
-    assert len({epochs for epochs, _ in fits}) > 2
-    assert {stopped for _, stopped in fits} == {STOP_STATIONARY, STOP_BUDGET}
-    params = batched_local_params(f, LOCAL_X, spec, LOCAL_CONFIG)
-    assert np.array_equal(params, ref_params)
-    assert gnf(f, local_surrogate_provider(LOCAL_CONFIG), LOCAL_X, spec) == ref_gnf
+    spec = NeighborhoodSpec(kind=GAUSSIAN, count=count, sigma2=0.3, seed=5)
+    ref_gnf, ranks = reference_local_gnf(f, LOCAL_X, spec)
+    assert set(ranks) == {min(count, 5)}
+    assert gnf(f, local_surrogate_provider, LOCAL_X, spec) == ref_gnf
 
 
 @pytest.mark.parametrize("output_kind", [REGRESSION_SCALAR, BINARY_PROBABILITY])
-def test_batched_full_rank_local_fits_match_per_instance_reference(output_kind):
-    f = init_mlp(4, (6,), output_kind, rng_for(2, "init-theta"))
-    spec = NeighborhoodSpec(kind=GAUSSIAN, count=12, sigma2=0.3, seed=5)
-    ref_params, fits, ref_gnf = reference_local_gnf(f, LOCAL_X, spec, LOCAL_CONFIG)
-    assert set(fits) == {None}
-    params = batched_local_params(f, LOCAL_X, spec, LOCAL_CONFIG)
-    assert np.array_equal(params, ref_params)
-    assert gnf(f, local_surrogate_provider(LOCAL_CONFIG), LOCAL_X, spec) == ref_gnf
-
-
-@pytest.mark.parametrize("output_kind", [REGRESSION_SCALAR, BINARY_PROBABILITY])
-def test_batched_mixed_local_fits_match_per_instance_reference(output_kind):
+def test_mixed_rank_local_gnf_matches_per_instance_reference(output_kind):
     # 3x3 images; an instance with a zero pixel has an all-zero design
-    # column, so patch deletion gives degenerate and full-rank fits at once.
+    # column, so patch deletion gives rank-deficient and full-rank fits at once.
     f = init_mlp(9, (5,), output_kind, rng_for(3, "init-theta"))
     X = np.random.default_rng(4).uniform(0.1, 1.0, (6, 9))
     X[::2, 0] = 0.0
     spec = NeighborhoodSpec(kind=PATCH_DELETE, count=16, patch_size=1,
                             num_patches=2, image_dims=(3, 3), seed=6)
-    ref_params, fits, ref_gnf = reference_local_gnf(f, X, spec, LOCAL_CONFIG)
-    assert None in fits and any(fit is not None for fit in fits)
-    params = batched_local_params(f, X, spec, LOCAL_CONFIG)
-    assert np.array_equal(params, ref_params)
-    assert gnf(f, local_surrogate_provider(LOCAL_CONFIG), X, spec) == ref_gnf
+    ref_gnf, ranks = reference_local_gnf(f, X, spec)
+    assert min(ranks) < 10 == max(ranks)
+    assert gnf(f, local_surrogate_provider, X, spec) == ref_gnf
+
+
+def test_local_fit_rejects_non_finite_outputs_before_lstsq(monkeypatch):
+    # Outputs of about 1e300 * 1e154 overflow; LAPACK must not see them.
+    f = MlpModel((Layer(np.full((1, 3), 1e300), np.zeros(1), IDENTITY),),
+                 REGRESSION_SCALAR)
+    X = np.ones((2, 3))
+    spec = NeighborhoodSpec(kind=GAUSSIAN, count=5, sigma2=1e308, seed=1)
+
+    def lstsq(*args, **kwargs):
+        raise AssertionError("lstsq called on non-finite inputs")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite loss inputs"):
+        gnf(f, local_surrogate_provider, X, spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), d=st.integers(1, 5), points=st.integers(1, 4),
+       extra=st.integers(0, 6), sigma2=st.floats(0.01, 1.0))
+def test_local_fit_recovers_linear_net_and_held_out_gnf_is_zero(seed, d, points, extra, sigma2):
+    rng = np.random.default_rng(seed)
+    w, b = rng.standard_normal(d), float(rng.standard_normal())
+    f = MlpModel((Layer(w[None, :], np.array([b]), IDENTITY),), REGRESSION_SCALAR)
+    X = rng.uniform(-2.0, 2.0, (points, d))
+    spec = NeighborhoodSpec(kind=GAUSSIAN, count=d + 1 + extra, sigma2=sigma2, seed=seed)
+    params = local_surrogate_provider(f, X, spec)
+    assert np.allclose(params, np.append(w, b), rtol=0.0, atol=1e-8)
+    assert gnf(f, local_surrogate_provider, X, spec) <= 1e-18
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), d=st.integers(2, 6), points=st.integers(1, 4),
+       data=st.data())
+def test_underdetermined_local_gnf_is_held_out_not_in_sample(seed, d, points, data):
+    # With count <= d every design is rank-deficient, so the min-norm fit
+    # interpolates its own draw: scored in sample it reads ~0 by construction.
+    count = data.draw(st.integers(1, d))
+    rng = np.random.default_rng(seed)
+    f = MlpModel((Layer(rng.standard_normal((8, d)), rng.standard_normal(8), RELU),
+                  Layer(rng.standard_normal((1, 8)), rng.standard_normal(1), IDENTITY)),
+                 REGRESSION_SCALAR)
+    X = rng.standard_normal((points, d))
+    spec = NeighborhoodSpec(kind=GAUSSIAN, count=count, sigma2=0.5, seed=seed)
+    fit = neighborhoods(X, spec, "gnf-fit")
+    targets = forward_batch(f, fit)
+    in_sample = float(np.mean((targets - _predict_flat(local_surrogate_provider(f, X, spec),
+                                                       fit)) ** 2))
+    assert in_sample <= 1e-20
+    assert gnf(f, local_surrogate_provider, X, spec) > 1e-12
 
 
 # -- dispatch and reports -----------------------------------------------------
