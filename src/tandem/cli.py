@@ -184,8 +184,7 @@ def _cmd_gnf(args: argparse.Namespace) -> int:
             surrogate, _ = load_surrogate(args.surrogate)
         else:
             surrogate = init_surrogate(dataset.n_features)
-        config = TrainConfig(seed=args.seed)
-        value = evaluate_gnf(model, surrogate, args.seed, dataset, settings, config)
+        value = evaluate_gnf(model, surrogate, args.seed, dataset, settings)
     except (TandemError, OSError, ValueError) as exc:
         print(f"gnf failed: {exc}", file=sys.stderr)
         return 1

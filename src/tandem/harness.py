@@ -271,7 +271,10 @@ def build_config(entry: dict, base: dict | None, seed: int) -> TrainConfig:
         if not (isinstance(hidden, list) and all(type(h) is int for h in hidden)):
             raise DataError(f"config hidden must be a list of integers, got {hidden!r}")
         merged["hidden"] = tuple(hidden)
-    return TrainConfig(**merged)
+    try:
+        return TrainConfig(**merged)
+    except TypeError as exc:
+        raise DataError(f"config value of the wrong type: {exc}") from None
 
 
 def method_label(config: TrainConfig) -> str:
@@ -298,15 +301,15 @@ def evaluate_gnf(
     seed: int,
     dataset: Dataset,
     settings: GnfSettings,
-    config: TrainConfig,
+    config: TrainConfig | None = None,
 ) -> float | None:
     """GNF of one trained model over the first test instances.
 
     Uses per-instance local fits, each on its own held-out neighborhood
     draw, when settings.local is set, otherwise the given global surrogate.
     The linear-only method has no black-box to explain, so its GNF is
-    absent (None).  ``config`` is accepted for its callers and not read:
-    local fits take no training settings.
+    absent (None).  ``config`` is not read: local fits take no training
+    settings.
     """
     if model is None:
         return None
@@ -447,9 +450,7 @@ def run_experiment(
                     model=model, surrogate=surrogate, report=report,
                 )
                 if GNF_METRIC in spec.metrics:
-                    value = evaluate_gnf(
-                        model, surrogate, seed, dataset, spec.gnf, config
-                    )
+                    value = evaluate_gnf(model, surrogate, seed, dataset, spec.gnf)
                     outcome = dataclasses.replace(
                         outcome, report=dataclasses.replace(report, gnf=value)
                     )

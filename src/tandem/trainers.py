@@ -14,8 +14,9 @@ a method table.
 ``run_methods`` trains a list of runs.  Runs that share a dataset and
 every setting apart from the method and its weight train in lockstep:
 the loop holds their networks and surrogates as stacks, one row per run,
-and every row moves bit for bit as its run would alone.  ``run_method``
-is the one-run case.
+and every row moves bit for bit as its run would alone.  A stack that
+raises trains each of its runs again alone, so every run ends with the
+result or the error it has alone.  ``run_method`` is the one-run case.
 
 While a fit runs, the networks and the surrogates are flat rows stepped
 in place by Adam; their model objects are built once, when a run ends.
@@ -29,6 +30,7 @@ rows when the dataset has no test rows.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -84,6 +86,15 @@ STOP_STATIONARY = "stationary"
 STOP_BUDGET = "budget"
 
 
+# The numeric fields of TrainConfig and the types each accepts; none accepts a bool.
+_NUMBER_FIELDS = {
+    **dict.fromkeys(("seed", "max_epochs", "batch_size", "inner_steps", "phi_max_epochs"),
+                    numbers.Integral),
+    **dict.fromkeys(("lr_theta", "lr_phi", "stationarity_tol", "phi_tol"), numbers.Real),
+    "alpha": (numbers.Real, type(None)),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters shared by every training method.
@@ -109,8 +120,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.lr_theta <= 0 or self.lr_phi <= 0:
-            raise ValueError("learning rates must be positive")
+        for name, kind in _NUMBER_FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{name} has the wrong type: {value!r}")
+        if not (0.0 < self.lr_theta < np.inf and 0.0 < self.lr_phi < np.inf):
+            raise ValueError("learning rates must be positive and finite")
         if self.max_epochs < 1 or self.batch_size < 1 or self.inner_steps < 1:
             raise ValueError("max_epochs, batch_size, inner_steps must be >= 1")
         if self.method == GS:
@@ -318,10 +333,11 @@ def _joint_loop(
     passes and the exact check run; otherwise the check would have
     returned False.
 
-    A row that stops, or fails a check its run alone would fail, leaves the
-    stack; the rest go on unchanged.  Returns, in the order of
-    ``configs``, each run's (model, surrogate, report), tagged with its
-    ``config.method``, or the exception that ended it.
+    A row that stops leaves the stack; the rest go on unchanged.  Any
+    error ends the whole stack: the loop raises it, with the message a run
+    alone raises at the same check, and :func:`_stage` trains the runs
+    again alone.  Returns, in the order of ``configs``, each run's (model,
+    surrogate, report), tagged with its ``config.method``.
     """
     X, y = subset(dataset, TRAIN)
     kind = _pred_kind(dataset)
@@ -342,7 +358,7 @@ def _joint_loop(
     rows = [_Row(i, c, _joint_method(c), rng_for(c.seed, "alpha"))
             for i, c in enumerate(configs)]
     results: list = [None] * len(configs)
-    ended: dict[int, object] = {}
+    ended: dict[int, str] = {}
 
     def masks() -> tuple[np.ndarray, np.ndarray]:
         """The indices of the rows that keep their surrogate fixed and of
@@ -364,26 +380,6 @@ def _joint_loop(
             g_first = g_pred + g_dist
         g_pf = backward(params, caches, upstream_derivative(f_out, g_out, POINT_FIDELITY))
         return g_pred, g_first, g_pf
-
-    def check(message: str, *arrays: np.ndarray, exempt: np.ndarray | None = None) -> None:
-        """Rows with a non-finite entry in any of the stacks ``arrays``,
-        bar the indices ``exempt``, end with NumericError(message), as
-        their runs alone would, unless an earlier check ended them.  Their
-        entries are zeroed, so no stacked call downstream raises.
-
-        A stacked call that validates its input raises before it changes
-        anything, for the whole stack; the step then checks the rows and
-        calls it again, so the checks cost nothing while all rows are
-        finite."""
-        if all(np.isfinite(values).all() for values in arrays):
-            return
-        bad = ~np.logical_and.reduce([np.isfinite(values).all(axis=-1) for values in arrays])
-        if exempt is not None:
-            bad[exempt] = False
-        for k in np.flatnonzero(bad).tolist():
-            ended.setdefault(k, NumericError(message))
-        for values in arrays:
-            values[bad] = 0.0
 
     def end_epoch(epoch: int, k: int, row: _Row) -> bool:
         """Row k's full-split pass: record its losses and mean weight; True
@@ -407,20 +403,12 @@ def _joint_loop(
         _, ga, gb = gradients(row_params, slice(None), out, caches, g_out)
         return is_pareto_stationary(ga, gb, tol)
 
-    def finish(k: int, outcome) -> None:
-        """Record row k's result: the exception that ended it, or its run,
-        stopped for the reason ``outcome``."""
+    def finish(k: int, stopped: str) -> None:
+        """Record row k's run, stopped for the reason ``stopped``."""
         row = rows[k]
-        if isinstance(outcome, Exception):
-            results[row.index] = outcome
-            return
-        try:
-            model = unflatten_params(init_model, theta[k])
-            g = surrogate_from_params(phi[k])
-            metric, gf = _final_metrics(model, g, dataset)
-        except Exception as exc:
-            results[row.index] = exc
-            return
+        model = unflatten_params(init_model, theta[k])
+        g = surrogate_from_params(phi[k])
+        metric, gf = _final_metrics(model, g, dataset)
         results[row.index] = (model, g, TrainReport(
             method=row.config.method,
             seed=row.config.seed,
@@ -428,7 +416,7 @@ def _joint_loop(
             loss_pf_history=tuple(row.pf_hist),
             alpha_history=tuple(row.alpha_hist),
             epochs_run=len(row.pred_hist),
-            stopped_reason=outcome,
+            stopped_reason=stopped,
             task_metric=metric,
             gf=gf,
             min_dot_pred=float(row.min_dot_pred),
@@ -438,8 +426,8 @@ def _joint_loop(
     def settle() -> None:
         """Finish the ended rows and drop them from the stack."""
         nonlocal rows, theta, phi, params, fixed, pred_only
-        for k, outcome in ended.items():
-            finish(k, outcome)
+        for k, stopped in ended.items():
+            finish(k, stopped)
         keep = np.array([k not in ended for k in range(len(rows))], dtype=bool)
         ended.clear()
         rows = [row for row, kept in zip(rows, keep) if kept]
@@ -455,69 +443,45 @@ def _joint_loop(
             row.step_alphas.clear()
         for batch in _batches(rng_batch, X.shape[0], shared.batch_size):
             Xb = X[batch]
+            f_out, caches = _forward_cached(params, Xb)
+            if fixed.size < len(rows):
+                for _ in range(shared.inner_steps):
+                    # The black-box output is the fitting target, never differentiated.
+                    grad = _grad_flat(Xb, f_out - _predict_flat(phi, Xb))
+                    if fixed.size:
+                        # A zero step leaves a fixed surrogate and its moments at zero.
+                        grad[fixed] = 0.0
+                    _phi_step(phi.reshape(-1), grad.reshape(-1), phi_state, shared.lr_phi)
+            g_out = _predict_flat(phi, Xb)
+            g_pred, g_first, g_pf = gradients(params, batch, f_out, caches, g_out)
+            alphas = np.empty(len(rows))
+            for k, row in enumerate(rows):
+                alphas[k] = _step_weight(row, g_first[k], g_pf[k])
+                _check_alpha(alphas[k])
+            if pred_only.size == len(rows):
+                d = g_first
+            else:
+                d = alphas[:, None] * g_first + (1.0 - alphas)[:, None] * g_pf
+                if pred_only.size:
+                    # Exactly g_first: 1.0 * a + 0.0 * b is not a where b is not finite.
+                    d[pred_only] = g_first[pred_only]
+            for row, alpha, d_row, a, b in zip(rows, alphas, d, g_pred, g_pf):
+                row.min_dot_pred = min(row.min_dot_pred, float(d_row @ a))
+                row.min_dot_pf = min(row.min_dot_pf, float(d_row @ b))
+                row.step_alphas.append(float(alpha))
             try:
-                f_out, caches = _forward_cached(params, Xb)
-                if fixed.size < len(rows):
-                    for _ in range(shared.inner_steps):
-                        # The black-box output is the fitting target, never differentiated.
-                        grad = _grad_flat(Xb, f_out - _predict_flat(phi, Xb))
-                        if fixed.size:
-                            # A zero step leaves a fixed surrogate and its moments at zero.
-                            grad[fixed] = 0.0
-                        try:
-                            adam_step(phi.reshape(-1), grad.reshape(-1), phi_state, shared.lr_phi)
-                        except NumericError:
-                            check("gradient has non-finite entries", grad)
-                            adam_step(phi.reshape(-1), grad.reshape(-1), phi_state, shared.lr_phi)
-                        check("surrogate parameters must be finite", phi)
-                g_out = _predict_flat(phi, Xb)
-                try:
-                    g_pred, g_first, g_pf = gradients(params, batch, f_out, caches, g_out)
-                except NumericError:
-                    check("non-finite loss inputs", f_out, g_out)
-                    g_pred, g_first, g_pf = gradients(params, batch, f_out, caches, g_out)
-                alphas = np.empty(len(rows))
-                for k, row in enumerate(rows):
-                    try:
-                        alphas[k] = _step_weight(row, g_first[k], g_pf[k])
-                        _check_alpha(alphas[k])
-                    except (NumericError, ValueError) as exc:
-                        ended.setdefault(k, exc)
-                        alphas[k] = np.nan
-                if pred_only.size == len(rows):
-                    d = g_first
-                else:
-                    d = alphas[:, None] * g_first + (1.0 - alphas)[:, None] * g_pf
-                    if pred_only.size:
-                        # Exactly g_first: 1.0 * a + 0.0 * b is not a where b is not finite.
-                        d[pred_only] = g_first[pred_only]
-                for row, alpha, d_row, a, b in zip(rows, alphas, d, g_pred, g_pf):
-                    row.min_dot_pred = min(row.min_dot_pred, float(d_row @ a))
-                    row.min_dot_pf = min(row.min_dot_pf, float(d_row @ b))
-                    row.step_alphas.append(float(alpha))
-                try:
-                    adam_step(theta.reshape(-1), d.reshape(-1), theta_state, shared.lr_theta)
-                except NumericError:
-                    # A mixing row whose gradient pair is not finite fails in
-                    # the min-norm solver or the combination, before Adam.
-                    check("non-finite gradient passed to min-norm solver", g_first, g_pf,
-                          exempt=pred_only)
-                    check("gradient has non-finite entries", d)
-                    adam_step(theta.reshape(-1), d.reshape(-1), theta_state, shared.lr_theta)
-                check("layer parameters must be finite", theta)
-            except Exception as exc:
-                for k in range(len(rows)):
-                    ended.setdefault(k, exc)
-            if ended:
-                settle()
-                if not rows:
-                    break
+                adam_step(theta.reshape(-1), d.reshape(-1), theta_state, shared.lr_theta)
+            except NumericError:
+                # A mixing row's gradient pair is the min-norm solver's input.
+                mixing = np.setdiff1d(np.arange(len(rows)), pred_only)
+                if not (np.isfinite(g_first[mixing]).all() and np.isfinite(g_pf[mixing]).all()):
+                    raise NumericError("non-finite gradient passed to min-norm solver") from None
+                raise
+            if not np.isfinite(theta).all():
+                raise NumericError("layer parameters must be finite")
         for k, row in enumerate(rows):
-            try:
-                if end_epoch(epoch, k, row):
-                    ended[k] = STOP_STATIONARY
-            except Exception as exc:
-                ended[k] = exc
+            if end_epoch(epoch, k, row):
+                ended[k] = STOP_STATIONARY
         if ended:
             settle()
         if not rows:
@@ -665,12 +629,17 @@ def fit_local_surrogate(
 
 def _stage(dataset: Dataset, configs: list[TrainConfig],
            teacher: MlpModel | None = None) -> list:
-    """One lockstep stack of :func:`_joint_loop`, started from ``teacher``
-    when given; an error in its set-up ends every run of the stack."""
-    stage = caught(_joint_loop, dataset, configs, teacher, teacher)
-    if isinstance(stage, Exception):
-        return [stage] * len(configs)
-    return stage
+    """The runs of ``configs`` as one lockstep stack of :func:`_joint_loop`,
+    started from ``teacher`` when given.  A stack that raises, in its
+    set-up or at any step, trains each of its runs again alone; a run
+    alone that raises ends with its exception.  A run alone moves bit for
+    bit as its row of the stack, so every run ends as it would alone."""
+    try:
+        return _joint_loop(dataset, configs, teacher, teacher)
+    except Exception as exc:
+        if len(configs) == 1:
+            return [exc]
+    return [result for config in configs for result in _stage(dataset, [config], teacher)]
 
 
 def run_methods(dataset: Dataset, configs: list[TrainConfig]) -> list:
@@ -679,7 +648,8 @@ def run_methods(dataset: Dataset, configs: list[TrainConfig]) -> list:
     raised; the linear method returns None for the black-box slot.
 
     Runs whose configs agree apart from ``method`` and ``alpha`` form a
-    group and train in lockstep, each exactly as it would alone.  STL's
+    group and train in lockstep, each exactly as it would alone; when the
+    stack raises, its runs train again one by one.  STL's
     phase 1 and every JDIST teacher are one predictive-only row of the
     group's stack; STL then fits its surrogate to that network, and the
     JDIST runs train as a second stack that starts from it.  LINEAR runs

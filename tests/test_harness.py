@@ -175,6 +175,12 @@ def test_build_config_normalizes_hidden_and_rejects_unknown_keys():
     for hidden in (5, "8", [8, "4"], [8.0], [True], None, {"a": 1}):
         with pytest.raises(DataError, match="hidden"):
             build_config({"method": MOO, "hidden": hidden}, None, seed=0)
+    for entry in ({"lr_theta": "0.1"}, {"method": GS, "alpha": "0.5"},
+                  {"stationarity_tol": "1e-3"}, {"max_epochs": 1.5}, {"batch_size": True}):
+        with pytest.raises(DataError, match="wrong type"):
+            build_config({"method": MOO, **entry}, None, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        build_config({"method": MOO, "lr_theta": math.nan}, None, seed=0)
 
 
 def test_method_label_includes_fixed_weight():
@@ -643,10 +649,23 @@ def test_experiment_stage_failing_at_set_up_fails_only_its_runs(tmp_path, monkey
 
 
 def test_pareto_scan_stage_failing_at_set_up_spares_the_next_seed(tmp_path, monkeypatch):
+    # Seed 0's stack and each of its ten runs, retried alone, fail to set up.
     calls = []
-    _init_failing(monkeypatch, lambda hidden: calls.append(hidden) or len(calls) == 1)
+    _init_failing(monkeypatch, lambda hidden: calls.append(hidden) or len(calls) <= 11)
     points, failures = pareto_scan(quick_spec(tmp_path, [{"method": MOO}], [0, 1]))
     assert [(f.method, f.seed, f.error_type) for f in failures] == [
         (MOO, 0, "MemoryError")] + [(f"GS({a / 10:g})", 0, "MemoryError") for a in range(1, 10)]
     assert [(p.method, p.seed) for p in points] == [(MOO, 1)] + [
         (f"GS({a / 10:g})", 1) for a in range(1, 10)]
+
+
+def test_pareto_scan_stack_failing_at_set_up_recovers_its_runs_alone(tmp_path, monkeypatch):
+    spec = quick_spec(tmp_path, [{"method": MOO}], [0, 1])
+    clean, _ = pareto_scan(spec)
+    calls = []
+    _init_failing(monkeypatch, lambda hidden: calls.append(hidden) or len(calls) == 1)
+    points, failures = pareto_scan(spec)
+    assert failures == []
+    # The failed stack, seed 0's ten runs alone, then seed 1's stack.
+    assert len(calls) == 1 + 10 + 1
+    assert points == clean

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import tandem
 from conftest import reference_adam, reference_adam_init
+from tandem import trainers
 from tandem.data import CLASSIFICATION, REGRESSION, TEST, TRAIN, Dataset, subset
 from tandem.errors import NumericError
 from tandem.losses import (
@@ -127,6 +128,14 @@ def test_config_rejects_negative_seed_and_bad_sizes():
         TrainConfig(method=MOO, seed=0, batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(method=MOO, seed=0, lr_theta=0.0)
+    for lr in (float("nan"), float("inf")):
+        for name in ("lr_theta", "lr_phi"):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(method=MOO, seed=0, **{name: lr})
+    for name in ("max_epochs", "batch_size", "inner_steps", "phi_max_epochs"):
+        for value in (1.5, True, "2", None):
+            with pytest.raises(TypeError, match=name):
+                TrainConfig(method=MOO, seed=0, **{name: value})
     for tol in (0.0, -1e-6, float("nan")):
         with pytest.raises(ValueError, match="stationarity_tol"):
             TrainConfig(method=MOO, seed=0, stationarity_tol=tol)
@@ -718,6 +727,28 @@ def test_diverging_rows_fail_as_alone_and_spare_the_rest(generator, seed, lr_the
             assert np.array_equal(flatten_params(model), flatten_params(alone[0]))
         assert np.array_equal(surrogate_params(g), surrogate_params(alone[1]))
         assert report == alone[2]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("group, lr, stacks", [
+    (PAIRED_GROUP, 3e-3, [5, 1]),
+    (SCAN_GROUP, 3e-3, [10]),
+    (SCAN_GROUP, 1e140, [10] + [1] * 10),
+], ids=["paired", "scan", "scan-diverging"])
+def test_a_stack_trains_its_runs_again_alone_only_when_it_raises(monkeypatch, group, lr, stacks):
+    """The size of every stack trained: the paired group is one stack plus
+    JDIST's, and only a stack with a diverging row is trained again, one
+    run at a time."""
+    ds = tandem.split(tandem.make_synthetic("nonlinear", 300, 5, 0.3, seed=2), seed=2)
+    configs = [TrainConfig(method=m, alpha=a, seed=2, max_epochs=4, batch_size=32,
+                           hidden=(8, 4), lr_theta=lr, lr_phi=lr) for m, a in group]
+    sizes = []
+    real = trainers._joint_loop
+    monkeypatch.setattr(trainers, "_joint_loop", lambda dataset, configs, *rest: (
+        sizes.append(len(configs)) or real(dataset, configs, *rest)))
+    failed = [isinstance(result, Exception) for result in run_methods(ds, configs)]
+    assert sizes == stacks
+    assert any(failed) == (lr > 1.0) and not all(failed)
 
 
 def reference_fit_phi(X, targets, config):
