@@ -95,7 +95,6 @@ from .trainers import (
     run_method,
     run_methods,
     train_linear,
-    train_stl,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import partial
 
 from .harness import (
     ExperimentSpec,
@@ -37,7 +38,7 @@ from .harness import (
 from .errors import TandemError
 from .metrics import GAUSSIAN, PATCH_DELETE
 from .nn import load_mlp
-from .surrogate import explain, init_surrogate, load_surrogate
+from .surrogate import explain, load_surrogate
 from .trainers import METHODS, TrainConfig, run_method
 
 __all__ = ["main"]
@@ -109,17 +110,20 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec | None:
     return spec
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _run_grid(args: argparse.Namespace, run, emit, stem: str, line) -> int:
+    """``experiment`` and ``pareto-scan``: run the spec with ``run``, write
+    its records with ``emit`` to ``<output_dir>/<stem>.<format>``, print
+    each as ``line`` gives it and each failure, and return the count of
+    failures."""
     spec = _load_spec(args)
     if spec is None:
         return 1
-    rows, _, failures = run_experiment(spec)
+    records, *_, failures = run(spec)
     os.makedirs(spec.output_dir, exist_ok=True)
-    path = os.path.join(spec.output_dir, f"results.{args.format}")
-    emit_report(rows, args.format, path)
-    for row in rows:
-        std = "" if row.std is None else f" +- {row.std:.6g}"
-        print(f"{row.dataset} {row.method} {row.metric}: {row.mean:.6g}{std}")
+    path = os.path.join(spec.output_dir, f"{stem}.{args.format}")
+    emit(records, args.format, path)
+    for record in records:
+        print(line(record))
     if failures:
         write_failures(failures, spec.output_dir)
         for failure in failures:
@@ -129,25 +133,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return len(failures)
 
 
-def _cmd_pareto_scan(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    if spec is None:
-        return 1
-    points, failures = pareto_scan(spec)
-    os.makedirs(spec.output_dir, exist_ok=True)
-    path = os.path.join(spec.output_dir, f"pareto.{args.format}")
-    emit_scatter(points, args.format, path)
-    for p in points:
-        flag = "dominated" if p.dominated else "non-dominated"
-        print(f"seed={p.seed} {p.method}: task={p.task_metric:.6g} "
-              f"gf={p.gf:.6g} [{flag}]")
-    if failures:
-        write_failures(failures, spec.output_dir)
-        for failure in failures:
-            print(f"FAILED {failure.method} seed={failure.seed}: "
-                  f"{failure.error_type}: {failure.error}", file=sys.stderr)
-    print(f"wrote {path}")
-    return len(failures)
+def _row_line(row) -> str:
+    std = "" if row.std is None else f" +- {row.std:.6g}"
+    return f"{row.dataset} {row.method} {row.metric}: {row.mean:.6g}{std}"
+
+
+def _point_line(p) -> str:
+    flag = "dominated" if p.dominated else "non-dominated"
+    return f"seed={p.seed} {p.method}: task={p.task_metric:.6g} gf={p.gf:.6g} [{flag}]"
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -180,10 +173,7 @@ def _cmd_gnf(args: argparse.Namespace) -> int:
             points=args.points, count=args.count, sigma2=args.sigma2,
             kind=args.kind, local=args.surrogate is None,
         )
-        if args.surrogate is not None:
-            surrogate, _ = load_surrogate(args.surrogate)
-        else:
-            surrogate = init_surrogate(dataset.n_features)
+        surrogate = None if args.surrogate is None else load_surrogate(args.surrogate)[0]
         value = evaluate_gnf(model, surrogate, args.seed, dataset, settings)
     except (TandemError, OSError, ValueError) as exc:
         print(f"gnf failed: {exc}", file=sys.stderr)
@@ -213,14 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--spec", required=True, help="experiment spec JSON path")
     p_exp.add_argument("--out", default=None, help="override spec output_dir")
     p_exp.add_argument("--format", default="csv", choices=("csv", "json"))
-    p_exp.set_defaults(func=_cmd_experiment)
+    p_exp.set_defaults(func=partial(_run_grid, run=run_experiment, emit=emit_report,
+                                    stem="results", line=_row_line))
 
     p_scan = sub.add_parser("pareto-scan",
                             help="fixed-weight grid plus min-norm trade-off scan")
     p_scan.add_argument("--spec", required=True)
     p_scan.add_argument("--out", default=None)
     p_scan.add_argument("--format", default="csv", choices=("csv", "json"))
-    p_scan.set_defaults(func=_cmd_pareto_scan)
+    p_scan.set_defaults(func=partial(_run_grid, run=pareto_scan, emit=emit_scatter,
+                                     stem="pareto", line=_point_line))
 
     p_explain = sub.add_parser("explain",
                                help="rank a saved surrogate's coefficients")

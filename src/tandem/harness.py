@@ -32,13 +32,12 @@ from .metrics import (
     GAUSSIAN,
     PATCH_DELETE,
     NeighborhoodSpec,
-    global_surrogate_provider,
     gnf,
-    local_surrogate_provider,
+    local_surrogates,
 )
 from .moo import dominates
 from .nn import MlpModel, mlp_to_dict
-from .surrogate import LinearSurrogate, surrogate_to_dict
+from .surrogate import LinearSurrogate, surrogate_params, surrogate_to_dict
 from .trainers import (
     GS,
     MOO,
@@ -158,10 +157,7 @@ def spec_from_dict(raw: dict, base_dir: str = ".") -> ExperimentSpec:
         raise DataError(f"unknown experiment spec keys: {sorted(unknown)}")
     dataset = raw.get("dataset")
     if isinstance(dataset, str):
-        path = os.path.join(base_dir, dataset)
-        with open(path, encoding="utf-8") as fh:
-            dataset = json.load(fh)
-        base_dir = os.path.dirname(path) or "."
+        dataset, base_dir = load_dataset_descriptor(os.path.join(base_dir, dataset))
     if not isinstance(dataset, dict):
         raise DataError("spec needs a dataset descriptor or descriptor path")
     try:
@@ -297,7 +293,7 @@ def _neighborhood_spec(settings: GnfSettings, dataset: Dataset, seed: int) -> Ne
 
 def evaluate_gnf(
     model: MlpModel | None,
-    surrogate: LinearSurrogate,
+    surrogate: LinearSurrogate | None,
     seed: int,
     dataset: Dataset,
     settings: GnfSettings,
@@ -306,20 +302,21 @@ def evaluate_gnf(
     """GNF of one trained model over the first test instances.
 
     Uses per-instance local fits, each on its own held-out neighborhood
-    draw, when settings.local is set, otherwise the given global surrogate.
-    The linear-only method has no black-box to explain, so its GNF is
-    absent (None).  ``config`` is not read: local fits take no training
-    settings.
+    draw, when settings.local is set, otherwise the given global surrogate
+    (which local mode does not read and may be None).  The linear-only
+    method has no black-box to explain, so its GNF is absent (None).
+    ``config`` is not read: local fits take no training settings.
     """
     if model is None:
         return None
     X = _eval_rows(dataset)[0][: settings.points]
     spec = _neighborhood_spec(settings, dataset, seed)
     if settings.local:
-        provider = local_surrogate_provider
+        surrogates = local_surrogates(model, X, spec)
     else:
-        provider = global_surrogate_provider(surrogate)
-    return gnf(model, provider, X, spec)
+        params = surrogate_params(surrogate)
+        surrogates = np.broadcast_to(params, (X.shape[0], params.size))
+    return gnf(model, surrogates, X, spec)
 
 
 def _safe_name(label: str) -> str:
@@ -395,6 +392,26 @@ def _failure(dataset: str, method: str, seed: int, exc: Exception) -> RunFailure
     return RunFailure(dataset, method, seed, str(exc), type(exc).__name__)
 
 
+def _train_seed(spec: ExperimentSpec, entries, base: dict | None, seed: int,
+                datasets: dict) -> tuple[Dataset | Exception, list[tuple]]:
+    """One seed's runs: every entry's config built on ``base``, and the
+    built ones trained on the seed's dataset in one ``run_methods`` call.
+
+    Returns the dataset and, per entry, its (config, result) pair; each
+    slot holds the exception its step raised instead, and a dataset that
+    cannot be resolved is that exception and every built config's result.
+    ``datasets`` caches the dataset, or its exception, per seed.
+    """
+    configs = [caught(build_config, entry, base, seed) for entry in entries]
+    if seed not in datasets:
+        datasets[seed] = caught(resolve_dataset, spec.dataset, seed, spec.base_dir)
+    dataset = datasets[seed]
+    built = [c for c in configs if not isinstance(c, Exception)]
+    results = iter([dataset] * len(built) if isinstance(dataset, Exception)
+                   else run_methods(dataset, built))
+    return dataset, [(c, c if isinstance(c, Exception) else next(results)) for c in configs]
+
+
 def run_experiment(
     spec: ExperimentSpec,
 ) -> tuple[list[ResultRow], list[RunOutcome], list[RunFailure]]:
@@ -407,44 +424,24 @@ def run_experiment(
     under output_dir/runs) follow the grid method by method.
     """
     name = dataset_name(spec.dataset)
-    datasets: dict[int, Dataset] = {}
-    # Per seed: each entry's config, or the exception building it raised,
-    # and each built config's result, or the exception resolving the
-    # dataset raised.
-    seed_configs: list[list] = []
-    seed_results: list[dict[int, object]] = []
-    for seed in spec.seeds:
-        configs = [caught(build_config, entry, spec.base_config, seed)
-                   for entry in spec.methods]
-        ready = [m for m, config in enumerate(configs) if not isinstance(config, Exception)]
-        results: dict[int, object] = {}
-        if ready:
-            dataset = datasets.get(seed) or caught(
-                resolve_dataset, spec.dataset, seed, spec.base_dir)
-            if isinstance(dataset, Exception):
-                results = dict.fromkeys(ready, dataset)
-            else:
-                datasets[seed] = dataset
-                results = dict(zip(ready, run_methods(dataset, [configs[m] for m in ready])))
-        seed_configs.append(configs)
-        seed_results.append(results)
+    datasets: dict = {}
+    seeded = [_train_seed(spec, spec.methods, spec.base_config, seed, datasets)
+              for seed in spec.seeds]
 
     outcomes: list[RunOutcome] = []
     failures: list[RunFailure] = []
     labels: list[str] = []
     for m, entry in enumerate(spec.methods):
         entry_label = str(entry.get("method", "?"))
-        for s, seed in enumerate(spec.seeds):
-            config = seed_configs[s][m]
+        for seed, (dataset, runs) in zip(spec.seeds, seeded):
+            config, result = runs[m]
             if not isinstance(config, Exception):
                 entry_label = method_label(config)
-            result = config if isinstance(config, Exception) else seed_results[s][m]
             if isinstance(result, Exception):
                 failures.append(_failure(name, entry_label, seed, result))
                 continue
             try:
                 model, surrogate, report = result
-                dataset = datasets[seed]
                 outcome = RunOutcome(
                     method=entry_label, seed=seed,
                     model=model, surrogate=surrogate, report=report,
@@ -463,7 +460,7 @@ def run_experiment(
         if entry_label not in labels:
             labels.append(entry_label)
 
-    sample = next(iter(datasets.values()), None)
+    sample = next((d for d in datasets.values() if not isinstance(d, Exception)), None)
     if sample is None:
         return [], outcomes, failures
     rows = aggregate_rows(name, sample, labels, outcomes, spec.metrics)
@@ -502,22 +499,18 @@ def pareto_scan(
     entries = [{"method": MOO}] + [{"method": GS, "alpha": a} for a in PARETO_ALPHAS]
     points: list[ScatterPoint] = []
     failures: list[RunFailure] = []
+    datasets: dict = {}
 
     for seed in spec.seeds:
-        try:
-            dataset = resolve_dataset(spec.dataset, seed, spec.base_dir)
-        except Exception as exc:
-            failures.append(_failure(name, "dataset", seed, exc))
+        dataset, runs = _train_seed(spec, entries, base, seed, datasets)
+        if isinstance(dataset, Exception):
+            failures.append(_failure(name, "dataset", seed, dataset))
             continue
-        configs = [caught(build_config, entry, base, seed) for entry in entries]
-        runs = iter(run_methods(dataset, [c for c in configs if not isinstance(c, Exception)]))
         seed_points: list[tuple[str, float | None, TrainReport]] = []
-        for entry, config in zip(entries, configs):
+        for entry, (config, result) in zip(entries, runs):
             if isinstance(config, Exception):
                 failures.append(_failure(name, entry["method"], seed, config))
-                continue
-            result = next(runs)
-            if isinstance(result, Exception):
+            elif isinstance(result, Exception):
                 failures.append(_failure(name, method_label(config), seed, result))
             else:
                 seed_points.append((method_label(config), config.alpha, result[2]))
@@ -560,36 +553,37 @@ def _write_csv(path: str, header: tuple[str, ...], records) -> None:
             (quote_all if has_cr else writer).writerow(record)
 
 
+def _cell(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _fmt(value) if value is None or isinstance(value, float) else value
+
+
+def _emit(records, header: tuple[str, ...], schema: str, key: str,
+          fmt: str, path: str) -> None:
+    """Write value tuples under ``header`` as CSV, or as versioned JSON with
+    one object per record under ``key``.  Floats keep six significant
+    digits in both; in CSV None is an empty field and a bool a lowercase
+    word."""
+    if fmt == "csv":
+        _write_csv(path, header, ([_cell(v) for v in record] for record in records))
+    elif fmt == "json":
+        _write_json(path, {"schema": schema, "version": RESULTS_VERSION, key: [
+            {name: float(_fmt(v)) if isinstance(v, float) else v
+             for name, v in zip(header, record)}
+            for record in records]})
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+
+
 def emit_report(rows: list[ResultRow], fmt: str, path: str) -> None:
     """Write the aggregated table as CSV or versioned JSON.
 
     Columns are fixed as dataset,method,metric,mean,std with floats at six
     significant digits; an empty table still gets the CSV header.
     """
-    if fmt == "csv":
-        _write_csv(path, REPORT_COLUMNS, (
-            (row.dataset, row.method, row.metric, _fmt(row.mean), _fmt(row.std))
-            for row in rows
-        ))
-        return
-    if fmt == "json":
-        payload = {
-            "schema": RESULTS_SCHEMA,
-            "version": RESULTS_VERSION,
-            "rows": [
-                {
-                    "dataset": row.dataset,
-                    "method": row.method,
-                    "metric": row.metric,
-                    "mean": float(_fmt(row.mean)),
-                    "std": None if row.std is None else float(_fmt(row.std)),
-                }
-                for row in rows
-            ],
-        }
-        _write_json(path, payload)
-        return
-    raise ValueError(f"unknown report format {fmt!r}")
+    _emit([(r.dataset, r.method, r.metric, r.mean, r.std) for r in rows],
+          REPORT_COLUMNS, RESULTS_SCHEMA, "rows", fmt, path)
 
 
 def read_report_csv(path: str) -> list[ResultRow]:
@@ -612,33 +606,9 @@ def read_report_csv(path: str) -> list[ResultRow]:
 
 def emit_scatter(points: list[ScatterPoint], fmt: str, path: str) -> None:
     """Write trade-off scan points as CSV or versioned JSON."""
-    if fmt == "csv":
-        header = ("seed", "method", "alpha", "task_metric", "gf", "dominated")
-        _write_csv(path, header, (
-            (p.seed, p.method, "" if p.alpha is None else f"{p.alpha:.6g}",
-             _fmt(p.task_metric), _fmt(p.gf), str(p.dominated).lower())
-            for p in points
-        ))
-        return
-    if fmt == "json":
-        payload = {
-            "schema": "tandem-pareto",
-            "version": RESULTS_VERSION,
-            "points": [
-                {
-                    "seed": p.seed,
-                    "method": p.method,
-                    "alpha": p.alpha,
-                    "task_metric": float(_fmt(p.task_metric)),
-                    "gf": float(_fmt(p.gf)),
-                    "dominated": p.dominated,
-                }
-                for p in points
-            ],
-        }
-        _write_json(path, payload)
-        return
-    raise ValueError(f"unknown report format {fmt!r}")
+    _emit([(p.seed, p.method, p.alpha, p.task_metric, p.gf, p.dominated) for p in points],
+          ("seed", "method", "alpha", "task_metric", "gf", "dominated"),
+          "tandem-pareto", "points", fmt, path)
 
 
 def write_failures(failures: list[RunFailure], out_dir: str) -> None:

@@ -6,15 +6,16 @@ perturbations of each instance, then over instances, with each instance's
 perturbations drawn from a derived seed so results are order-independent
 and reproducible.  It evaluates all instances' neighborhoods as one stack.
 
-Local GNF fits each instance's surrogate in closed form on a second,
-independent neighborhood of that instance and scores it on the same
-neighborhoods as global GNF, so the value is a held-out fidelity.
+:func:`gnf` scores one flat (phi, bias) surrogate per instance, given as
+a (P, d+1) array: the global surrogate's parameters repeated, or the
+local fits of :func:`local_surrogates`.  Those fit each instance's
+surrogate in closed form on a second, independent neighborhood of that
+instance, so local GNF is a held-out fidelity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import NumericError, ShapeError
 from .losses import loss_point_fidelity
 from .nn import MlpModel, forward_batch
 from .seeding import rng_for
-from .surrogate import LinearSurrogate, _predict_flat, predict_batch, surrogate_params
+from .surrogate import LinearSurrogate, _predict_flat, predict_batch
 
 GAUSSIAN = "gaussian"
 PATCH_DELETE = "patch_delete"
@@ -60,11 +61,6 @@ class NeighborhoodSpec:
                 raise ValueError("patch must fit inside the image")
             if self.num_patches < 1:
                 raise ValueError("num_patches must be at least 1")
-
-
-# The black-box, the instances (P, d) and their neighborhood spec to one
-# flat (phi, bias) surrogate per instance, shape (P, d+1).
-SurrogateProvider = Callable[[MlpModel, np.ndarray, NeighborhoodSpec], np.ndarray]
 
 
 def f1_score(predicted, true) -> float:
@@ -141,16 +137,6 @@ def neighborhoods(X: np.ndarray, spec: NeighborhoodSpec, label: str) -> np.ndarr
                      for i in range(X.shape[0])])
 
 
-def global_surrogate_provider(g: LinearSurrogate) -> SurrogateProvider:
-    """Provider reusing one global surrogate for every instance."""
-    params = surrogate_params(g)
-
-    def provide(f: MlpModel, X: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
-        return np.broadcast_to(params, (X.shape[0], params.size))
-
-    return provide
-
-
 def _fit_local(neighbors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares linear fits to targets (K, N) over neighborhoods
     (K, N, d): the (K, d+1) parameters and the rank of each fit's design.
@@ -166,8 +152,9 @@ def _fit_local(neighbors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
     return np.array([fit[0] for fit in fits]), np.array([fit[2] for fit in fits])
 
 
-def local_surrogate_provider(f: MlpModel, X: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
-    """Provider fitting a fresh surrogate to f around every instance.
+def local_surrogates(f: MlpModel, X: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
+    """A fresh surrogate fitted to f around every row of X, as the
+    (P, d+1) flat parameters :func:`gnf` scores.
 
     Instance i's fit uses its own neighborhood from the stream
     (spec.seed, "gnf-fit", i), independent of the one :func:`gnf` scores
@@ -180,23 +167,23 @@ def local_surrogate_provider(f: MlpModel, X: np.ndarray, spec: NeighborhoodSpec)
 
 def gnf(
     f: MlpModel,
-    provider: SurrogateProvider,
+    surrogates: np.ndarray,
     X: np.ndarray,
     spec: NeighborhoodSpec,
 ) -> float:
     """Aggregate neighborhood fidelity over the rows of X.
 
     Instance i's neighborhood is drawn from a seed derived from
-    (spec.seed, "gnf", i).  The black-box runs once over the stack of
-    neighborhoods, and the provider gives the surrogate to evaluate
-    against for each instance.
+    (spec.seed, "gnf", i) and scored against row i of ``surrogates``, the
+    (P, d+1) flat (phi, bias) parameters.  The black-box runs once over
+    the stack of neighborhoods.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ShapeError(f"expected nonempty 2-d data, got shape {X.shape}")
     neighbors = neighborhoods(X, spec, "gnf")
     f_out = forward_batch(f, neighbors)
-    g_out = _predict_flat(provider(f, X, spec), neighbors)
+    g_out = _predict_flat(surrogates, neighbors)
     if not (np.isfinite(f_out).all() and np.isfinite(g_out).all()):
         raise NumericError("non-finite loss inputs")
     return float(np.mean(np.mean((f_out - g_out) ** 2, axis=1)))

@@ -22,7 +22,7 @@ While a fit runs, the networks and the surrogates are flat rows stepped
 in place by Adam; their model objects are built once, when a run ends.
 STL's phase 2 fits its surrogate to the frozen network by full-batch Adam.
 ``fit_local_surrogate`` is a one-instance view of the closed-form local
-fit that local GNF uses (:mod:`tandem.metrics`).
+fit of :func:`tandem.metrics.local_surrogates`, which local GNF uses.
 
 Metrics in a report are computed on the test split, falling back to all
 rows when the dataset has no test rows.
@@ -101,7 +101,8 @@ class TrainConfig:
 
     ``alpha`` only applies to GS.  ``inner_steps`` is the number of
     surrogate refinements per black-box step.  ``phi_max_epochs`` and
-    ``phi_tol`` govern STL's surrogate-only phase 2 and nothing else.
+    ``phi_tol`` govern STL's surrogate-only phase 2 and nothing else; a
+    ``phi_tol`` of -inf never stops it early.
     """
 
     method: str = MOO
@@ -126,8 +127,10 @@ class TrainConfig:
                 raise TypeError(f"{name} has the wrong type: {value!r}")
         if not (0.0 < self.lr_theta < np.inf and 0.0 < self.lr_phi < np.inf):
             raise ValueError("learning rates must be positive and finite")
-        if self.max_epochs < 1 or self.batch_size < 1 or self.inner_steps < 1:
-            raise ValueError("max_epochs, batch_size, inner_steps must be >= 1")
+        if min(self.max_epochs, self.batch_size, self.inner_steps, self.phi_max_epochs) < 1:
+            raise ValueError("max_epochs, batch_size, inner_steps, phi_max_epochs must be >= 1")
+        if np.isnan(self.phi_tol):
+            raise ValueError("phi_tol must not be NaN")
         if self.method == GS:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise ValueError("GS requires alpha in (0, 1)")
@@ -516,20 +519,6 @@ def _fit_phi(X: np.ndarray, targets: np.ndarray, config: TrainConfig,
     return phi, STOP_BUDGET
 
 
-def train_stl(
-    dataset: Dataset, config: TrainConfig
-) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
-    """Sequential baseline: train the black-box, then fit the surrogate.
-
-    Phase 1 runs predictive-only epochs to the full budget; phase 2 freezes
-    the black-box and fits the surrogate to its outputs until the loss
-    decrease drops below ``phi_tol``.  Phase-1 epochs are recorded with
-    weight 1.0, phase-2 epochs with weight 0.0; ``stopped_reason`` reports
-    the phase-2 outcome, with "stationary" meaning the tolerance was met.
-    """
-    return run_method(dataset, replace(config, method=STL))
-
-
 def _fit_stl_surrogate(dataset: Dataset, config: TrainConfig, pred_run: tuple
                        ) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
     """STL's phase 2 on its phase 1, the predictive-only run ``pred_run``."""
@@ -616,7 +605,7 @@ def fit_local_surrogate(
     A full-rank design is solved exactly and a rank-deficient one by its
     minimum-norm solution, flagged as degenerate in the returned boolean.
     Local GNF fits every instance at once through
-    :func:`tandem.metrics.local_surrogate_provider` and never calls this;
+    :func:`tandem.metrics.local_surrogates` and never calls this;
     it stays because the benchmark traces it by name, until a change to
     the benchmark drops that trace.
     """
@@ -654,6 +643,13 @@ def run_methods(dataset: Dataset, configs: list[TrainConfig]) -> list:
     group's stack; STL then fits its surrogate to that network, and the
     JDIST runs train as a second stack that starts from it.  LINEAR runs
     its own procedure.
+
+    STL, the sequential baseline, runs its predictive-only phase 1 to the
+    full budget; phase 2 freezes the black-box and fits the surrogate to
+    its outputs until the loss decrease drops below ``phi_tol``.  Phase-1
+    epochs are recorded with weight 1.0, phase-2 epochs with weight 0.0;
+    ``stopped_reason`` reports the phase-2 outcome, with "stationary"
+    meaning the tolerance was met.
     """
     results: list = [None] * len(configs)
     groups: dict[TrainConfig, list[int]] = {}

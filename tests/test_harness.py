@@ -242,6 +242,15 @@ def test_failed_run_is_recorded_and_grid_continues(tmp_path):
     assert all(r.method == MOO for r in rows)
 
 
+@pytest.mark.parametrize("setting", [{"phi_max_epochs": 0}, {"phi_tol": float("nan")}])
+def test_bad_surrogate_phase_setting_is_a_failed_run(tmp_path, setting):
+    spec = quick_spec(tmp_path, [{"method": STL, **setting}, {"method": MOO}], [0])
+    rows, outcomes, failures = run_experiment(spec)
+    assert [(f.method, f.seed, f.error_type) for f in failures] == [(STL, 0, "ValueError")]
+    assert [o.method for o in outcomes] == [MOO]
+    assert all(r.method == MOO for r in rows)
+
+
 def test_run_artifacts_written_per_run(tmp_path):
     spec = quick_spec(tmp_path, [{"method": MOO}], [0])
     run_experiment(spec)

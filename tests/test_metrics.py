@@ -10,14 +10,13 @@ from tandem.metrics import (
     NeighborhoodSpec,
     f1_score,
     global_fidelity,
-    global_surrogate_provider,
     gnf,
     make_neighborhood,
     mse_metric,
 )
 from tandem.nn import IDENTITY, REGRESSION_SCALAR, Layer, MlpModel, forward_batch, init_mlp
 from tandem.seeding import rng_for
-from tandem.surrogate import LinearSurrogate, predict_batch
+from tandem.surrogate import LinearSurrogate, predict_batch, surrogate_params
 
 
 def linear_net(weights, bias):
@@ -26,6 +25,11 @@ def linear_net(weights, bias):
                np.array([float(bias)]), IDENTITY),),
         REGRESSION_SCALAR,
     )
+
+
+def global_rows(g, X):
+    """The global surrogate's flat parameters once per row of X."""
+    return np.tile(surrogate_params(g), (len(X), 1))
 
 
 # -- task metrics -------------------------------------------------------------
@@ -184,7 +188,7 @@ def test_gnf_zero_for_linear_f(rng):
     g = LinearSurrogate(weights.copy(), -0.2)
     X = rng.standard_normal((3, 4))
     spec = NeighborhoodSpec(kind=GAUSSIAN, count=10, sigma2=0.1, seed=5)
-    assert gnf(f, global_surrogate_provider(g), X, spec) == pytest.approx(0.0, abs=1e-24)
+    assert gnf(f, global_rows(g, X), X, spec) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_gnf_single_point_collapse(rng):
@@ -194,7 +198,7 @@ def test_gnf_single_point_collapse(rng):
     spec = NeighborhoodSpec(kind=GAUSSIAN, count=1, sigma2=0.1, seed=6)
     neighbors = make_neighborhood(X[0], spec, rng_for(6, "gnf", 0))
     expected = float(forward_batch(f, neighbors)[0]) ** 2
-    assert gnf(f, global_surrogate_provider(g), X, spec) == pytest.approx(expected, abs=1e-12)
+    assert gnf(f, global_rows(g, X), X, spec) == pytest.approx(expected, abs=1e-12)
 
 
 def test_gnf_matches_brute_force_double_loop(rng):
@@ -203,7 +207,7 @@ def test_gnf_matches_brute_force_double_loop(rng):
     X = rng.standard_normal((5, 3))
     spec = NeighborhoodSpec(kind=GAUSSIAN, count=10, sigma2=0.1, seed=4)
 
-    value = gnf(f, global_surrogate_provider(g), X, spec)
+    value = gnf(f, global_rows(g, X), X, spec)
 
     total = 0.0
     for i in range(5):
@@ -222,8 +226,8 @@ def test_gnf_per_instance_streams_are_independent_of_count_order(rng):
     g = LinearSurrogate(rng.standard_normal(2), 0.0)
     X = rng.standard_normal((4, 2))
     spec = NeighborhoodSpec(kind=GAUSSIAN, count=6, sigma2=0.2, seed=9)
-    full = gnf(f, global_surrogate_provider(g), X, spec)
-    again = gnf(f, global_surrogate_provider(g), X, spec)
+    full = gnf(f, global_rows(g, X), X, spec)
+    again = gnf(f, global_rows(g, X), X, spec)
     assert full == again
 
 
@@ -231,4 +235,4 @@ def test_gnf_rejects_empty_batch():
     f = linear_net([1.0], 0.0)
     g = LinearSurrogate(np.array([1.0]), 0.0)
     with pytest.raises(ShapeError):
-        gnf(f, global_surrogate_provider(g), np.empty((0, 1)), NeighborhoodSpec())
+        gnf(f, global_rows(g, np.empty((0, 1))), np.empty((0, 1)), NeighborhoodSpec())

@@ -27,7 +27,7 @@ from tandem.metrics import (
     PATCH_DELETE,
     NeighborhoodSpec,
     gnf,
-    local_surrogate_provider,
+    local_surrogates,
     make_neighborhood,
     neighborhoods,
 )
@@ -77,7 +77,6 @@ from tandem.trainers import (
     run_method,
     run_methods,
     train_linear,
-    train_stl,
 )
 
 
@@ -143,6 +142,13 @@ def test_config_rejects_negative_seed_and_bad_sizes():
         with pytest.raises(ValueError, match="hidden"):
             TrainConfig(method=MOO, seed=0, hidden=hidden)
     TrainConfig(method=MOO, seed=0, hidden=())
+    for value in (0, -1):
+        with pytest.raises(ValueError, match="phi_max_epochs"):
+            TrainConfig(method=STL, seed=0, phi_max_epochs=value)
+    with pytest.raises(ValueError, match="phi_tol"):
+        TrainConfig(method=STL, seed=0, phi_tol=float("nan"))
+    # -inf is legal: it never stops STL's surrogate phase early.
+    TrainConfig(method=STL, seed=0, phi_tol=-np.inf)
 
 
 def test_config_rejects_unknown_method():
@@ -234,13 +240,13 @@ def stl_config(seed=0):
 
 def test_stl_linear_representable_reaches_low_fidelity():
     ds = linear_regression_dataset()
-    _, _, report = train_stl(ds, stl_config())
+    _, _, report = run_method(ds, stl_config())
     assert report.gf <= 1e-3
 
 
 def test_stl_surrogate_matches_ordinary_least_squares():
     ds = linear_regression_dataset()
-    model, surrogate, _ = train_stl(ds, stl_config())
+    model, surrogate, _ = run_method(ds, stl_config())
     X_train, _ = subset(ds, TRAIN)
     outputs = forward_batch(model, X_train)
     design = np.column_stack([X_train, np.ones(X_train.shape[0])])
@@ -252,8 +258,8 @@ def test_stl_surrogate_matches_ordinary_least_squares():
 def test_stl_is_deterministic():
     ds = small_classification_dataset()
     cfg = TrainConfig(method=STL, seed=2, **SMALL)
-    _, g_a, rep_a = train_stl(ds, cfg)
-    _, g_b, rep_b = train_stl(ds, cfg)
+    _, g_a, rep_a = run_method(ds, cfg)
+    _, g_b, rep_b = run_method(ds, cfg)
     assert np.array_equal(g_a.phi, g_b.phi)
     assert report_to_dict(rep_a) == report_to_dict(rep_b)
 
@@ -261,7 +267,7 @@ def test_stl_is_deterministic():
 def test_stl_histories_cover_both_phases():
     ds = small_classification_dataset()
     cfg = TrainConfig(method=STL, seed=0, **SMALL)
-    _, _, report = train_stl(ds, cfg)
+    _, _, report = run_method(ds, cfg)
     assert report.epochs_run == len(report.loss_pred_history)
     assert report.epochs_run > cfg.max_epochs
     # phase 1 keeps the full predictive weight, phase 2 freezes the black-box
@@ -778,7 +784,7 @@ def test_stl_surrogate_phase_matches_reference(data, phi_tol, stop):
         linear_regression_dataset())
     cfg = TrainConfig(method=STL, seed=9, **LOOP, phi_max_epochs=300, phi_tol=phi_tol)
     ref_model, _, phase1 = reference_joint_loop(ds, cfg, "pred-only", update_phi=False)
-    model, g, report = train_stl(ds, cfg)
+    model, g, report = run_method(ds, cfg)
     assert np.array_equal(flatten_params(model), flatten_params(ref_model))
 
     X, y = subset(ds, TRAIN)
@@ -932,7 +938,7 @@ def test_local_gnf_matches_per_instance_reference(output_kind, count):
     spec = NeighborhoodSpec(kind=GAUSSIAN, count=count, sigma2=0.3, seed=5)
     ref_gnf, ranks = reference_local_gnf(f, LOCAL_X, spec)
     assert set(ranks) == {min(count, 5)}
-    assert gnf(f, local_surrogate_provider, LOCAL_X, spec) == ref_gnf
+    assert gnf(f, local_surrogates(f, LOCAL_X, spec), LOCAL_X, spec) == ref_gnf
 
 
 @pytest.mark.parametrize("output_kind", [REGRESSION_SCALAR, BINARY_PROBABILITY])
@@ -946,7 +952,7 @@ def test_mixed_rank_local_gnf_matches_per_instance_reference(output_kind):
                             num_patches=2, image_dims=(3, 3), seed=6)
     ref_gnf, ranks = reference_local_gnf(f, X, spec)
     assert min(ranks) < 10 == max(ranks)
-    assert gnf(f, local_surrogate_provider, X, spec) == ref_gnf
+    assert gnf(f, local_surrogates(f, X, spec), X, spec) == ref_gnf
 
 
 def test_local_fit_rejects_non_finite_outputs_before_lstsq(monkeypatch):
@@ -961,7 +967,7 @@ def test_local_fit_rejects_non_finite_outputs_before_lstsq(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite loss inputs"):
-        gnf(f, local_surrogate_provider, X, spec)
+        gnf(f, local_surrogates(f, X, spec), X, spec)
 
 
 @settings(max_examples=40, deadline=None)
@@ -973,9 +979,9 @@ def test_local_fit_recovers_linear_net_and_held_out_gnf_is_zero(seed, d, points,
     f = MlpModel((Layer(w[None, :], np.array([b]), IDENTITY),), REGRESSION_SCALAR)
     X = rng.uniform(-2.0, 2.0, (points, d))
     spec = NeighborhoodSpec(kind=GAUSSIAN, count=d + 1 + extra, sigma2=sigma2, seed=seed)
-    params = local_surrogate_provider(f, X, spec)
+    params = local_surrogates(f, X, spec)
     assert np.allclose(params, np.append(w, b), rtol=0.0, atol=1e-8)
-    assert gnf(f, local_surrogate_provider, X, spec) <= 1e-18
+    assert gnf(f, local_surrogates(f, X, spec), X, spec) <= 1e-18
 
 
 @settings(max_examples=40, deadline=None)
@@ -993,10 +999,10 @@ def test_underdetermined_local_gnf_is_held_out_not_in_sample(seed, d, points, da
     spec = NeighborhoodSpec(kind=GAUSSIAN, count=count, sigma2=0.5, seed=seed)
     fit = neighborhoods(X, spec, "gnf-fit")
     targets = forward_batch(f, fit)
-    in_sample = float(np.mean((targets - _predict_flat(local_surrogate_provider(f, X, spec),
+    in_sample = float(np.mean((targets - _predict_flat(local_surrogates(f, X, spec),
                                                        fit)) ** 2))
     assert in_sample <= 1e-20
-    assert gnf(f, local_surrogate_provider, X, spec) > 1e-12
+    assert gnf(f, local_surrogates(f, X, spec), X, spec) > 1e-12
 
 
 # -- dispatch and reports -----------------------------------------------------
