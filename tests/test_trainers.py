@@ -981,7 +981,7 @@ def test_local_fit_recovers_linear_net_and_held_out_gnf_is_zero(seed, d, points,
     spec = NeighborhoodSpec(kind=GAUSSIAN, count=d + 1 + extra, sigma2=sigma2, seed=seed)
     params = local_surrogates(f, X, spec)
     assert np.allclose(params, np.append(w, b), rtol=0.0, atol=1e-8)
-    assert gnf(f, local_surrogates(f, X, spec), X, spec) <= 1e-18
+    assert gnf(f, params, X, spec) <= 1e-18
 
 
 @settings(max_examples=40, deadline=None)
@@ -999,10 +999,10 @@ def test_underdetermined_local_gnf_is_held_out_not_in_sample(seed, d, points, da
     spec = NeighborhoodSpec(kind=GAUSSIAN, count=count, sigma2=0.5, seed=seed)
     fit = neighborhoods(X, spec, "gnf-fit")
     targets = forward_batch(f, fit)
-    in_sample = float(np.mean((targets - _predict_flat(local_surrogates(f, X, spec),
-                                                       fit)) ** 2))
+    params = local_surrogates(f, X, spec)
+    in_sample = float(np.mean((targets - _predict_flat(params, fit)) ** 2))
     assert in_sample <= 1e-20
-    assert gnf(f, local_surrogates(f, X, spec), X, spec) > 1e-12
+    assert gnf(f, params, X, spec) > 1e-12
 
 
 # -- dispatch and reports -----------------------------------------------------
