@@ -14,10 +14,12 @@ import json
 
 from tandem.cli import main
 
-GOLDEN = "387d3fc599722d130b833a7bdf895e5b04e3c206b2d1532eb1305dced3bfa6d0"
+GOLDEN = "9fe49e7e3383939aed5182a0ef5395989f80ee3f7044206442adab7ed57c5593"
 
 DESCRIPTOR = {"kind": "synthetic", "generator": "nonlinear", "n": 300, "d": 5,
               "noise": 0.3}
+REGRESSION = {"kind": "synthetic", "generator": "linear_regression", "n": 200, "d": 4,
+              "noise": 0.2}
 BROKEN_CSV = {"kind": "csv", "path": "absent.csv",
               "columns": [{"name": "x", "kind": "numeric"}, {"name": "y", "kind": "target"}]}
 CONFIG = {"max_epochs": 3, "batch_size": 32, "hidden": [8, 4]}
@@ -77,6 +79,14 @@ def _fingerprint(tmp_path, capsys) -> str:
            "--seed", "1", "--points", "7"]
     run(gnf)
     run(gnf + ["--surrogate", surrogate])
+
+    (tmp_path / "linreg.json").write_text(json.dumps(REGRESSION))
+    run(["train", "--dataset", str(tmp_path / "linreg.json"), "--seed", "2",
+         "--epochs", "3", "--batch-size", "32", "--hidden", "8",
+         "--out", str(tmp_path / "train_reg")])
+    run(["gnf", "--dataset", str(tmp_path / "linreg.json"), "--model",
+         str(tmp_path / "train_reg" / "runs" / "linear_regression_MOO_2_model.json"),
+         "--seed", "2", "--points", "5"])
 
     for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
         digest.update(str(path.relative_to(tmp_path)).encode() + b"\0")
