@@ -296,22 +296,24 @@ def _largest_remainder_counts(n: int, fractions: tuple[float, ...]) -> list[int]
     return counts
 
 
-def _interleave_groups(groups: list[list[int]], n: int) -> list[int]:
-    """Merge index groups so any prefix holds near-proportional shares.
+def _interleave_groups(groups: list[np.ndarray], n: int) -> np.ndarray:
+    """Merge one or two index groups so any prefix holds near-proportional shares.
 
-    At each position the group with the largest integer deficit
-    k_g*(t+1) - taken_g*n is chosen, ties toward the earlier group.
+    Position t goes to the group with the largest deficit
+    D_g = k_g*(t+1) - taken_g*n, ties toward the earlier group.  The two
+    deficits sum to n, so group 0 wins exactly when 2*D_0 >= n; by induction
+    it then holds taken_0(t) = (2*k_0*t + n) // (2n) of the first t
+    positions and takes position t where that count rises.
     """
-    taken = [0] * len(groups)
-    sizes = [len(g) for g in groups]
-    merged: list[int] = []
-    for t in range(n):
-        best = max(
-            range(len(groups)),
-            key=lambda g: (sizes[g] * (t + 1) - taken[g] * n, -g),
-        )
-        merged.append(groups[best][taken[best]])
-        taken[best] += 1
+    if len(groups) == 1:
+        return groups[0]
+    if len(groups) != 2:
+        raise ValueError(f"cannot interleave {len(groups)} groups")
+    first, second = groups
+    to_first = np.diff((2 * len(first) * np.arange(n + 1) + n) // (2 * n)) == 1
+    merged = np.empty(n, dtype=np.intp)
+    merged[to_first] = first
+    merged[~to_first] = second
     return merged
 
 
@@ -332,19 +334,16 @@ def split(
     rng = rng_for(seed, "split")
 
     if dataset.task == CLASSIFICATION:
-        group_keys = [float(v) for v in np.unique(dataset.targets)]
-        groups = [np.flatnonzero(dataset.targets == key) for key in group_keys]
+        groups = [np.flatnonzero(dataset.targets == key)
+                  for key in np.unique(dataset.targets)]
     else:
         groups = [np.arange(n)]
-    shuffled = [list(rng.permutation(g)) for g in groups]
-    order = _interleave_groups(shuffled, n)
+    order = _interleave_groups([rng.permutation(g) for g in groups], n)
 
     tags = np.empty(n, dtype=object)
-    start = 0
-    for tag, count in zip(SPLIT_TAGS, counts):
-        for i in order[start:start + count]:
-            tags[i] = tag
-        start += count
+    bounds = np.cumsum([0] + counts)
+    for tag, start, stop in zip(SPLIT_TAGS, bounds, bounds[1:]):
+        tags[order[start:stop]] = tag
     return replace(dataset, split=tags)
 
 

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tandem.data import (
     CATEGORICAL,
@@ -16,12 +18,16 @@ from tandem.data import (
     NONLINEAR,
     NUMERIC,
     REGRESSION,
+    SPLIT_TAGS,
+    SYNTHETIC_KINDS,
     TARGET,
     TEST,
     TRAIN,
     VAL,
     ColumnSpec,
     Dataset,
+    _interleave_groups,
+    _largest_remainder_counts,
     binarize_label,
     column_levels,
     dataset_from_csv,
@@ -34,6 +40,7 @@ from tandem.data import (
     subset,
 )
 from tandem.errors import DataError, IdxFormatError
+from tandem.seeding import rng_for
 
 
 def plain_dataset(features, targets, task, tags=None):
@@ -254,6 +261,80 @@ def test_split_stratifies_classification_rates():
     for tag in (TRAIN, VAL, TEST):
         _, y = subset(tagged, tag)
         assert abs(float(np.mean(y)) - overall) <= 0.02
+
+
+def greedy_interleave(groups, n):
+    """The greedy rule ``_interleave_groups`` has in closed form: each
+    position goes to the group with the largest deficit
+    k_g*(t+1) - taken_g*n, ties toward the earlier group."""
+    taken = [0] * len(groups)
+    sizes = [len(g) for g in groups]
+    merged = []
+    for t in range(n):
+        best = max(range(len(groups)),
+                   key=lambda g: (sizes[g] * (t + 1) - taken[g] * n, -g))
+        merged.append(groups[best][taken[best]])
+        taken[best] += 1
+    return merged
+
+
+def greedy_split_tags(dataset, seed):
+    """``split``'s tags built row by row through ``greedy_interleave``."""
+    n = dataset.n_rows
+    rng = rng_for(seed, "split")
+    if dataset.task == CLASSIFICATION:
+        keys = [float(v) for v in np.unique(dataset.targets)]
+        groups = [np.flatnonzero(dataset.targets == key) for key in keys]
+    else:
+        groups = [np.arange(n)]
+    order = greedy_interleave([list(rng.permutation(g)) for g in groups], n)
+    tags = np.empty(n, dtype=object)
+    start = 0
+    for tag, count in zip(SPLIT_TAGS, _largest_remainder_counts(n, DEFAULT_FRACTIONS)):
+        for i in order[start:start + count]:
+            tags[i] = tag
+        start += count
+    return tags
+
+
+def two_groups(k0, k1):
+    """Two disjoint, unsorted index groups of sizes k0 and k1."""
+    rows = np.random.default_rng(k0 * 1000 + k1).permutation(k0 + k1)
+    return [rows[:k0], rows[k0:]]
+
+
+@given(st.integers(0, 80), st.integers(0, 80))
+def test_interleave_closed_form_equals_greedy_rule(k0, k1):
+    n = k0 + k1
+    if n == 0:
+        return
+    groups = two_groups(k0, k1)
+    assert _interleave_groups(groups, n).tolist() == greedy_interleave(groups, n)
+    assert _interleave_groups(groups[1:], k1).tolist() == greedy_interleave(groups[1:], k1)
+
+
+@given(st.integers(0, 200), st.integers(0, 200))
+def test_interleave_prefix_share_is_within_half_a_row(k0, k1):
+    n = k0 + k1
+    if n == 0:
+        return
+    groups = two_groups(k0, k1)
+    in_first = np.isin(_interleave_groups(groups, n), groups[0])
+    taken = np.concatenate([[0], np.cumsum(in_first)])
+    t = np.arange(n + 1)
+    assert np.all(np.abs(2 * n * taken - 2 * k0 * t) <= n)
+
+
+def test_interleave_rejects_more_than_two_groups():
+    with pytest.raises(ValueError, match="3 groups"):
+        _interleave_groups([np.arange(2), np.arange(2, 4), np.arange(4, 6)], 6)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(SYNTHETIC_KINDS), st.integers(0, 2**31 - 1), st.integers(2, 400))
+def test_split_tags_equal_greedy_split(kind, seed, n):
+    ds = make_synthetic(kind, n, 3, 0.5, seed=seed)
+    assert split(ds, seed=seed).split.tolist() == greedy_split_tags(ds, seed).tolist()
 
 
 def test_split_rejects_bad_fractions():
