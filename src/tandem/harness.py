@@ -199,16 +199,26 @@ def load_dataset_descriptor(path: str) -> tuple[dict, str]:
     return descriptor, os.path.dirname(path) or "."
 
 
+_DESCRIPTOR_KEYS = {"synthetic": ("generator", "n", "d"), "csv": ("path", "columns"),
+                    "idx": ("images", "labels", "digit")}
+
+
 def resolve_dataset(descriptor: dict, seed: int, base_dir: str = ".") -> Dataset:
     """Build the seeded, split dataset a descriptor refers to.
 
-    synthetic: {"kind": "synthetic", "generator", "n", "d", "noise"}.
+    synthetic: {"kind": "synthetic", "generator", "n", "d", "noise"?}.
     csv: {"kind": "csv", "path", "columns": [{"name", "kind", "levels"?}]}.
     idx: {"kind": "idx", "images", "labels", "digit"}.
+    A descriptor that is not an object or lacks a key raises DataError.
     The same seed drives generation and the split, so every method at one
     seed sees identical data.
     """
+    if not isinstance(descriptor, dict):
+        raise DataError("dataset descriptor must be an object")
     kind = descriptor.get("kind")
+    missing = [key for key in _DESCRIPTOR_KEYS.get(kind, ()) if key not in descriptor]
+    if missing:
+        raise DataError(f"{kind} dataset descriptor lacks {', '.join(map(repr, missing))}")
     if kind == "synthetic":
         dataset = make_synthetic(
             descriptor["generator"],
@@ -247,7 +257,7 @@ def dataset_name(descriptor: dict) -> str:
     if kind == "synthetic":
         return str(descriptor.get("generator", "synthetic"))
     if kind == "csv":
-        return os.path.splitext(os.path.basename(descriptor["path"]))[0]
+        return os.path.splitext(os.path.basename(descriptor.get("path", "csv")))[0]
     return f"digit{descriptor.get('digit', '')}"
 
 

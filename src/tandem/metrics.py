@@ -181,6 +181,9 @@ def gnf(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ShapeError(f"expected nonempty 2-d data, got shape {X.shape}")
+    if np.shape(surrogates) != (X.shape[0], X.shape[1] + 1):
+        raise ShapeError(f"surrogates have shape {np.shape(surrogates)}, expected "
+                         f"{(X.shape[0], X.shape[1] + 1)}: one row of d+1 per instance")
     neighbors = neighborhoods(X, spec, "gnf")
     f_out = forward_batch(f, neighbors)
     g_out = _predict_flat(surrogates, neighbors)

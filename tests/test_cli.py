@@ -295,6 +295,57 @@ def test_gnf_malformed_model_reports_failure(tmp_path, descriptor_path, capsys,
     assert err.startswith("gnf failed: ") and message in err
 
 
+def write_model(path, d):
+    path.write_text(json.dumps(mlp_to_dict(MlpModel(
+        (Layer(np.zeros((1, d)), np.zeros(1), IDENTITY),), REGRESSION_SCALAR,
+    ))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["train", "gnf"])
+@pytest.mark.parametrize("descriptor, message", [
+    ([1, 2], "dataset descriptor must be an object"),
+    ({"kind": "synthetic", "generator": "nonlinear", "d": 3}, "lacks 'n'"),
+    ({"kind": "csv", "path": "toy.csv"}, "lacks 'columns'"),
+])
+def test_malformed_descriptor_reports_failure(tmp_path, capsys, command, descriptor,
+                                              message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(descriptor))
+    extra = (["--out", str(tmp_path / "o")] if command == "train"
+             else ["--model", write_model(tmp_path / "model.json", 3)])
+    code = main([command, "--dataset", str(path), *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    prefix = "run failed: " if command == "train" else "gnf failed: "
+    assert err.startswith(prefix) and message in err
+
+
+def test_experiment_records_descriptor_without_path_as_failed_runs(tmp_path, capsys):
+    spec = tmp_path / "exp.json"
+    spec.write_text(json.dumps({
+        "dataset": {"kind": "csv", "columns": [{"name": "y", "kind": "target"}]},
+        "methods": [{"method": "MOO"}], "seeds": [0, 1],
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["experiment", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err.count("DataError: csv dataset descriptor lacks 'path'") == 2
+
+
+def test_gnf_rejects_surrogate_of_another_width(tmp_path, capsys):
+    descriptor_path = tmp_path / "wide.json"
+    descriptor_path.write_text(json.dumps(dict(DESCRIPTOR, d=5)))
+    surrogate_path = tmp_path / "g.json"
+    surrogate_path.write_text(json.dumps(surrogate_to_dict(
+        LinearSurrogate(phi=np.zeros(3), bias=0.0), ("x0", "x1", "x2"))))
+    code = main(["gnf", "--dataset", str(descriptor_path), "--model",
+                 write_model(tmp_path / "model.json", 5), "--surrogate",
+                 str(surrogate_path), "--points", "5", "--count", "4"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gnf failed: ") and "(5, 4)" in err and "(5, 6)" in err
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])

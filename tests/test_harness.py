@@ -146,12 +146,27 @@ def test_resolve_rejects_unknown_kind():
         resolve_dataset({"kind": "sql"}, seed=0)
 
 
+@pytest.mark.parametrize("descriptor, message", [
+    ([1, 2], "dataset descriptor must be an object"),
+    ({"kind": "synthetic", "generator": "nonlinear", "d": 3}, "lacks 'n'"),
+    ({"kind": "synthetic"}, "lacks 'generator', 'n', 'd'"),
+    ({"kind": "csv", "path": "toy.csv"}, "lacks 'columns'"),
+    ({"kind": "csv", "columns": []}, "lacks 'path'"),
+    ({"kind": "idx", "images": "i.idx", "labels": "l.idx"}, "lacks 'digit'"),
+])
+def test_resolve_rejects_malformed_descriptor(descriptor, message):
+    with pytest.raises(DataError) as info:
+        resolve_dataset(descriptor, seed=0)
+    assert message in str(info.value)
+
+
 def test_dataset_name_prefers_explicit_name():
     assert dataset_name({"kind": "synthetic", "generator": "nonlinear",
                          "name": "toy"}) == "toy"
     assert dataset_name(SYNTH) == "nonlinear"
     assert dataset_name({"kind": "csv", "path": "dir/adult.csv"}) == "adult"
     assert dataset_name({"kind": "idx", "digit": 3}) == "digit3"
+    assert dataset_name({"kind": "csv"}) == "csv"
 
 
 # -- config merging -------------------------------------------------------------
