@@ -229,13 +229,19 @@ def resolve_dataset(descriptor: dict, seed: int, base_dir: str = ".") -> Dataset
         )
         return split(dataset, seed=seed)
     if kind == "csv":
+        columns = descriptor["columns"]
+        if not (isinstance(columns, list) and all(
+                isinstance(c, dict) and {"name", "kind"} <= c.keys()
+                and isinstance(c.get("levels") or [], list) for c in columns)):
+            raise DataError("csv dataset descriptor columns must be objects "
+                            "with 'name', 'kind' and an optional 'levels' list")
         schema = [
             ColumnSpec(
                 name=c["name"],
                 kind=c["kind"],
                 levels=tuple(c["levels"]) if c.get("levels") else None,
             )
-            for c in descriptor["columns"]
+            for c in columns
         ]
         path = os.path.join(base_dir, descriptor["path"])
         dataset, _ = dataset_from_csv(path, schema, seed=seed)

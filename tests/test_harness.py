@@ -152,6 +152,11 @@ def test_resolve_rejects_unknown_kind():
     ({"kind": "synthetic"}, "lacks 'generator', 'n', 'd'"),
     ({"kind": "csv", "path": "toy.csv"}, "lacks 'columns'"),
     ({"kind": "csv", "columns": []}, "lacks 'path'"),
+    ({"kind": "csv", "path": "toy.csv", "columns": 5}, "columns must be objects"),
+    ({"kind": "csv", "path": "toy.csv", "columns": [{"kind": "numeric"}]},
+     "with 'name', 'kind'"),
+    ({"kind": "csv", "path": "toy.csv",
+      "columns": [{"name": "y", "kind": "target", "levels": 5}]}, "'levels' list"),
     ({"kind": "idx", "images": "i.idx", "labels": "l.idx"}, "lacks 'digit'"),
 ])
 def test_resolve_rejects_malformed_descriptor(descriptor, message):
