@@ -329,7 +329,8 @@ def test_experiment_records_descriptor_without_path_as_failed_runs(tmp_path, cap
         "output_dir": str(tmp_path / "out"),
     }))
     assert main(["experiment", "--spec", str(spec)]) == 2
-    assert capsys.readouterr().err.count("DataError: csv dataset descriptor lacks 'path'") == 2
+    err = capsys.readouterr().err
+    assert err.count("DataError: csv dataset descriptor lacks 'path'") == 2
 
 
 def test_gnf_rejects_surrogate_of_another_width(tmp_path, capsys):

@@ -246,11 +246,3 @@ def test_gnf_rejects_surrogates_not_one_row_of_d_plus_1_per_instance(rng, shape)
         gnf(f, np.zeros(shape), X, NeighborhoodSpec())
     assert str(shape) in str(info.value) and "(3, 4)" in str(info.value)
 
-
-def test_gnf_scores_a_broadcast_view_of_the_global_surrogate(rng):
-    f = init_mlp(3, (4,), REGRESSION_SCALAR, rng_for(3, "init-theta"))
-    g = LinearSurrogate(rng.standard_normal(3), 0.1)
-    X = rng.standard_normal((5, 3))
-    view = np.broadcast_to(surrogate_params(g), (5, 4))
-    spec = NeighborhoodSpec(count=4, seed=2)
-    assert gnf(f, view, X, spec) == gnf(f, global_rows(g, X), X, spec)
