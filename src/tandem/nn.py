@@ -215,8 +215,9 @@ def _layer_backward(layer, cache, delta: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _backward_cached(params, caches, upstream: np.ndarray) -> np.ndarray:
     """Vector-Jacobian product from a cached forward, in canonical flat
-    order: (P,) from upstream (N,), or (K, P) from a stack's (K, N), each
-    row bit-identical to its own call."""
+    order: (P,) from upstream (N,), (K, P) from a stack's (K, N), and with
+    m upstreams on a leading axis (m, P) or (m, K, P) from (m, N) or
+    (m, K, N), each row bit-identical to its own call."""
     grads = [np.empty(0)] * len(params)
     delta = upstream[..., None]
     for k in range(len(params) - 1, -1, -1):
@@ -228,7 +229,7 @@ def _backward_cached(params, caches, upstream: np.ndarray) -> np.ndarray:
 
 def _last_layer_backward(params, caches, upstream: np.ndarray) -> np.ndarray:
     """The last layer's block of :func:`_backward_cached`, the tail of its
-    output, bit for bit, at the cost of one layer's step."""
+    output on any upstream stack, bit for bit, at one layer's step."""
     return _layer_backward(params[-1], caches[-1], upstream[..., None])[0]
 
 

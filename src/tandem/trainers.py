@@ -7,7 +7,7 @@ fidelity gradients.  The min-norm solver picks that combination adaptively;
 the weighted baselines fix it by schedule; the ablations decouple or
 distill.  Stationarity is checked once per epoch on full-batch gradients,
 screened by an exact lower bound, the min-norm of the last layer's
-gradient block alone: the full backward passes run only on epochs whose
+gradient block alone: the full backward pass runs only on epochs whose
 bound does not already rule a stop out.  Each joint method is one row of
 a method table.
 
@@ -46,7 +46,7 @@ from .losses import (
     loss_pred,
     upstream_derivative,
 )
-from .metrics import _fit_local, f1_score, global_fidelity, mse_metric
+from .metrics import _fit_local, f1_score, mse_metric
 from .moo import DEFAULT_STATIONARITY_TOL, _check_alpha, is_pareto_stationary, solve_alpha
 from .nn import (
     BINARY_PROBABILITY,
@@ -69,6 +69,7 @@ from .surrogate import (
     LinearSurrogate,
     _grad_flat,
     _predict_flat,
+    predict_batch,
     surrogate_from_params,
 )
 
@@ -216,8 +217,8 @@ def _final_metrics(
     model: MlpModel, g: LinearSurrogate, dataset: Dataset
 ) -> tuple[float, float]:
     X, y = _eval_rows(dataset)
-    metric = task_metric(forward_batch(model, X), y, dataset.task)
-    return metric, global_fidelity(model, g, X)
+    out = forward_batch(model, X)
+    return task_metric(out, y, dataset.task), loss_point_fidelity(out, predict_batch(g, X))
 
 
 MIN_NORM = "min-norm"
@@ -316,10 +317,10 @@ def _joint_loop(
     gradient.
 
     Per step: one stacked forward pass over the shared batch, whose output
-    is the surrogates' fitting target for every inner step and whose
-    caches feed the stacked predictive and fidelity backward passes.  Each
-    row's weight comes from its method; the min-norm solve and the
-    descent dot products stay one call per row, on views.  The directions
+    is the surrogates' fitting target for every inner step, and one
+    backward pass of its caches on the step's upstreams.  Each row's weight
+    comes from its method; the min-norm solve and the descent dot products
+    stay one call per row, on views.  The directions
     combine element-wise on the stack and one Adam step moves ``theta``.
     Every stacked matmul is one gemm per row, so each row is bit-identical
     to a run alone.
@@ -333,8 +334,8 @@ def _joint_loop(
     block is one layer's step of the backward pass, bit for bit the tail
     of the full gradient.  Only when the block's min-norm is within twice
     the tolerance, the factor covering rounding, do the full backward
-    passes and the exact check run; otherwise the check would have
-    returned False.
+    pass, from the same upstreams, and the exact check run; otherwise the
+    check would have returned False.
 
     A row that stops leaves the stack; the rest go on unchanged.  Any
     error ends the whole stack: the loop raises it, with the message a run
@@ -363,26 +364,29 @@ def _joint_loop(
     results: list = [None] * len(configs)
     ended: dict[int, str] = {}
 
-    def masks() -> tuple[np.ndarray, np.ndarray]:
-        """The indices of the rows that keep their surrogate fixed and of
-        those that follow the predictive gradient alone."""
+    def masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The indices of the rows that keep their surrogate fixed, that
+        follow the predictive gradient alone and that mix in the fidelity's."""
+        pred = np.array([row.method.weight == PRED_ONLY for row in rows], dtype=bool)
         return (np.flatnonzero([not row.method.update_phi for row in rows]),
-                np.flatnonzero([row.method.weight == PRED_ONLY for row in rows]))
+                np.flatnonzero(pred), np.flatnonzero(~pred))
 
-    fixed, pred_only = masks()
+    fixed, pred_only, mixing = masks()
 
-    def gradients(params, rows, f_out, caches, g_out, backward=_backward_cached):
-        """Predictive gradient, the same plus any distillation term, and
-        fidelity gradient on train rows ``rows``, all from one cached
-        forward of one network or a stack; ``backward`` gives every
-        gradient or its last layer's block."""
-        g_pred = backward(params, caches, upstream_derivative(f_out, y[rows], kind))
-        g_first = g_pred
+    def upstreams(f_out, rows, g_out) -> np.ndarray:
+        """The predictive, any distillation and the fidelity upstreams on train
+        rows ``rows`` of one forward, stacked on a leading axis for one
+        backward pass: (m, K, N) for a stack, (m, N) for one network."""
+        parts = [upstream_derivative(f_out, y[rows], kind)]
         if t_all is not None:
-            g_dist = backward(params, caches, upstream_derivative(f_out, t_all[rows], DISTILL))
-            g_first = g_pred + g_dist
-        g_pf = backward(params, caches, upstream_derivative(f_out, g_out, POINT_FIDELITY))
-        return g_pred, g_first, g_pf
+            parts.append(upstream_derivative(f_out, t_all[rows], DISTILL))
+        parts.append(upstream_derivative(f_out, g_out, POINT_FIDELITY))
+        return np.stack(parts)
+
+    def pair(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(g_first, g_pf) from the gradients of :func:`upstreams`: predictive
+        plus any distillation term, and fidelity."""
+        return (grads[0] if t_all is None else grads[0] + grads[1]), grads[-1]
 
     def end_epoch(epoch: int, k: int, row: _Row) -> bool:
         """Row k's full-split pass: record its losses and mean weight; True
@@ -400,11 +404,9 @@ def _joint_loop(
         if not row.method.update_phi:
             return False
         tol = row.config.stationarity_tol
-        _, ga, gb = gradients(row_params, slice(None), out, caches, g_out, _last_layer_backward)
-        if not is_pareto_stationary(ga, gb, 2.0 * tol):
-            return False
-        _, ga, gb = gradients(row_params, slice(None), out, caches, g_out)
-        return is_pareto_stationary(ga, gb, tol)
+        u = upstreams(out, slice(None), g_out)
+        return (is_pareto_stationary(*pair(_last_layer_backward(row_params, caches, u)), 2.0 * tol)
+                and is_pareto_stationary(*pair(_backward_cached(row_params, caches, u)), tol))
 
     def finish(k: int, stopped: str) -> None:
         """Record row k's run, stopped for the reason ``stopped``."""
@@ -428,7 +430,7 @@ def _joint_loop(
 
     def settle() -> None:
         """Finish the ended rows and drop them from the stack."""
-        nonlocal rows, theta, phi, params, fixed, pred_only
+        nonlocal rows, theta, phi, params, fixed, pred_only, mixing
         for k, stopped in ended.items():
             finish(k, stopped)
         keep = np.array([k not in ended for k in range(len(rows))], dtype=bool)
@@ -439,7 +441,7 @@ def _joint_loop(
             state.second_moment = state.second_moment.reshape(stack.shape)[keep].ravel()
         theta, phi = theta[keep], phi[keep]
         params = _param_views(init_model, theta)
-        fixed, pred_only = masks()
+        fixed, pred_only, mixing = masks()
 
     for epoch in range(shared.max_epochs):
         for row in rows:
@@ -455,8 +457,11 @@ def _joint_loop(
                         # A zero step leaves a fixed surrogate and its moments at zero.
                         grad[fixed] = 0.0
                     _phi_step(phi.reshape(-1), grad.reshape(-1), phi_state, shared.lr_phi)
-            g_out = _predict_flat(phi, Xb)
-            g_pred, g_first, g_pf = gradients(params, batch, f_out, caches, g_out)
+            grads = _backward_cached(params, caches, upstreams(f_out, batch, _predict_flat(phi, Xb)))
+            g_first, g_pf = pair(grads)
+            # A mixing row's gradient pair is the min-norm solver's input.
+            if not (np.isfinite(g_first[mixing]).all() and np.isfinite(g_pf[mixing]).all()):
+                raise NumericError("non-finite gradient passed to min-norm solver")
             alphas = np.empty(len(rows))
             for k, row in enumerate(rows):
                 alphas[k] = _step_weight(row, g_first[k], g_pf[k])
@@ -468,18 +473,11 @@ def _joint_loop(
                 if pred_only.size:
                     # Exactly g_first: 1.0 * a + 0.0 * b is not a where b is not finite.
                     d[pred_only] = g_first[pred_only]
-            for row, alpha, d_row, a, b in zip(rows, alphas, d, g_pred, g_pf):
+            for row, alpha, d_row, a, b in zip(rows, alphas, d, grads[0], g_pf):
                 row.min_dot_pred = min(row.min_dot_pred, float(d_row @ a))
                 row.min_dot_pf = min(row.min_dot_pf, float(d_row @ b))
                 row.step_alphas.append(float(alpha))
-            try:
-                adam_step(theta.reshape(-1), d.reshape(-1), theta_state, shared.lr_theta)
-            except NumericError:
-                # A mixing row's gradient pair is the min-norm solver's input.
-                mixing = np.setdiff1d(np.arange(len(rows)), pred_only)
-                if not (np.isfinite(g_first[mixing]).all() and np.isfinite(g_pf[mixing]).all()):
-                    raise NumericError("non-finite gradient passed to min-norm solver") from None
-                raise
+            adam_step(theta.reshape(-1), d.reshape(-1), theta_state, shared.lr_theta)
             if not np.isfinite(theta).all():
                 raise NumericError("layer parameters must be finite")
         for k, row in enumerate(rows):

@@ -530,6 +530,38 @@ def test_screened_stationarity_check_matches_reference(monkeypatch, data, method
     assert len(sizes) == got[2].epochs_run + full
 
 
+@pytest.mark.parametrize("method, tol", [(MOO, 0.1), (JDIST, 0.5)])
+def test_joint_loop_makes_one_backward_call_per_step(monkeypatch, method, tol):
+    """Each step backpropagates its predictive, any distillation and its
+    fidelity upstream in one call; an epoch whose last-layer screen passes
+    adds one call for its full check, which takes the same stack.  Each
+    tolerance lets the screen pass on some epoch."""
+    ds = linear_regression_dataset()
+    cfg = TrainConfig(method=method, seed=4, **LOOP, stationarity_tol=tol)
+    template = init_mlp(ds.n_features, cfg.hidden, REGRESSION_SCALAR, rng_for(1, "teacher"))
+    teacher = template if method == JDIST else None
+    shapes, full_checks = [], []
+
+    def backward(params, caches, upstream):
+        shapes.append(upstream.shape)
+        return _backward_cached(params, caches, upstream)
+
+    def spy(g1, g2, bound):
+        full_checks.append(g1.size == param_count(template))
+        return is_pareto_stationary(g1, g2, bound)
+
+    monkeypatch.setattr(trainers, "_backward_cached", backward)
+    monkeypatch.setattr(trainers, "is_pareto_stationary", spy)
+    ((_, _, report),) = _joint_loop(ds, [cfg], teacher, teacher)
+    m = 3 if method == JDIST else 2
+    n_train = subset(ds, TRAIN)[0].shape[0]
+    steps = report.epochs_run * -(-n_train // cfg.batch_size)
+    assert any(full_checks)
+    assert len(shapes) == steps + sum(full_checks)
+    assert [s for s in shapes if len(s) == 2] == [(m, n_train)] * sum(full_checks)
+    assert all(s[:2] == (m, 1) for s in shapes if len(s) == 3)
+
+
 @settings(max_examples=60)
 @given(
     input_dim=st.integers(1, 8),
@@ -664,17 +696,22 @@ def test_lockstep_rows_stopping_at_different_epochs_match_reference(data, stop_e
     hidden=st.lists(st.integers(1, 16), min_size=0, max_size=3),
     rows=st.integers(1, 64),
     stack=st.integers(1, 6),
+    upstreams=st.integers(1, 3),
     output_kind=st.sampled_from([REGRESSION_SCALAR, BINARY_PROBABILITY]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_passes_equal_per_row_passes(input_dim, hidden, rows, stack,
+def test_stacked_passes_equal_per_row_passes(input_dim, hidden, rows, stack, upstreams,
                                              output_kind, seed):
+    """An (m, K, N) stack of upstreams, as the joint loop passes a step's
+    predictive, distillation and fidelity upstreams, and the (m, N) stack of
+    one network's epoch check: every (upstream, network) row of one call is
+    bit-identical to its own call."""
     rng = np.random.default_rng(seed)
     template = init_mlp(input_dim, tuple(hidden), output_kind, rng)
     theta = flatten_params(template) + 0.1 * rng.standard_normal(
         (stack, param_count(template)))
     X = rng.standard_normal((rows, input_dim))
-    upstream = rng.standard_normal((stack, rows))
+    upstream = rng.standard_normal((upstreams, stack, rows))
     params = _param_views(template, theta)
     out, caches = _forward_cached(params, X)
     grads = _backward_cached(params, caches, upstream)
@@ -683,9 +720,15 @@ def test_stacked_passes_equal_per_row_passes(input_dim, hidden, rows, stack,
         row_params = _param_views(template, theta[k].copy())
         row_out, row_caches = _forward_cached(row_params, X)
         assert np.array_equal(out[k], row_out)
-        assert np.array_equal(grads[k], _backward_cached(row_params, row_caches, upstream[k]))
-        assert np.array_equal(blocks[k],
-                              _last_layer_backward(row_params, row_caches, upstream[k]))
+        row_grads = _backward_cached(row_params, row_caches, upstream[:, k])
+        row_blocks = _last_layer_backward(row_params, row_caches, upstream[:, k])
+        for i in range(upstreams):
+            alone = _backward_cached(row_params, row_caches, upstream[i, k])
+            assert np.array_equal(grads[i, k], alone)
+            assert np.array_equal(row_grads[i], alone)
+            block = _last_layer_backward(row_params, row_caches, upstream[i, k])
+            assert np.array_equal(blocks[i, k], block)
+            assert np.array_equal(row_blocks[i], block)
 
 
 ALL_METHODS = PAIRED_GROUP + [(LINEAR, None), (GS, 0.1), (GS, 0.5), (GS, 0.9)]
