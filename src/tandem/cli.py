@@ -35,7 +35,7 @@ from .harness import (
     write_failures,
     write_run_artifacts,
 )
-from .errors import TandemError
+from .errors import DataError, TandemError
 from .metrics import GAUSSIAN, PATCH_DELETE
 from .nn import load_mlp
 from .surrogate import explain, load_surrogate
@@ -145,12 +145,14 @@ def _point_line(p) -> str:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     try:
+        if args.top is not None and args.top < 1:
+            raise DataError(f"--top must be at least 1, got {args.top}")
         surrogate, names = load_surrogate(args.surrogate)
         importance = explain(surrogate, names)
     except (TandemError, OSError, ValueError) as exc:
         print(f"explain failed: {exc}", file=sys.stderr)
         return 1
-    entries = importance.entries[: args.top] if args.top else importance.entries
+    entries = importance.entries[: args.top]
     if args.format == "json":
         payload = [
             {"rank": rank, "feature": name, "coefficient": coef}

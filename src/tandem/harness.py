@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -201,6 +202,13 @@ def load_dataset_descriptor(path: str) -> tuple[dict, str]:
 
 _DESCRIPTOR_KEYS = {"synthetic": ("generator", "n", "d"), "csv": ("path", "columns"),
                     "idx": ("images", "labels", "digit")}
+# The type of each scalar key a kind reads, when present; no number may be a bool.
+_DESCRIPTOR_TYPES = {
+    "synthetic": {"generator": str, "n": numbers.Integral, "d": numbers.Integral,
+                  "noise": numbers.Real},
+    "csv": {"path": str},
+    "idx": {"images": str, "labels": str, "digit": numbers.Integral},
+}
 
 
 def resolve_dataset(descriptor: dict, seed: int, base_dir: str = ".") -> Dataset:
@@ -209,16 +217,23 @@ def resolve_dataset(descriptor: dict, seed: int, base_dir: str = ".") -> Dataset
     synthetic: {"kind": "synthetic", "generator", "n", "d", "noise"?}.
     csv: {"kind": "csv", "path", "columns": [{"name", "kind", "levels"?}]}.
     idx: {"kind": "idx", "images", "labels", "digit"}.
-    A descriptor that is not an object or lacks a key raises DataError.
+    A descriptor that is not an object, lacks a key or holds a value of the
+    wrong type raises DataError.
     The same seed drives generation and the split, so every method at one
     seed sees identical data.
     """
     if not isinstance(descriptor, dict):
         raise DataError("dataset descriptor must be an object")
     kind = descriptor.get("kind")
-    missing = [key for key in _DESCRIPTOR_KEYS.get(kind, ()) if key not in descriptor]
+    if not (isinstance(kind, str) and kind in _DESCRIPTOR_KEYS):
+        raise DataError(f"unknown dataset kind {kind!r}")
+    missing = [key for key in _DESCRIPTOR_KEYS[kind] if key not in descriptor]
     if missing:
         raise DataError(f"{kind} dataset descriptor lacks {', '.join(map(repr, missing))}")
+    for key, expected in _DESCRIPTOR_TYPES[kind].items():
+        value = descriptor.get(key)
+        if key in descriptor and (isinstance(value, bool) or not isinstance(value, expected)):
+            raise DataError(f"{kind} dataset descriptor key {key!r} has the wrong type: {value!r}")
     if kind == "synthetic":
         dataset = make_synthetic(
             descriptor["generator"],
@@ -246,14 +261,12 @@ def resolve_dataset(descriptor: dict, seed: int, base_dir: str = ".") -> Dataset
         path = os.path.join(base_dir, descriptor["path"])
         dataset, _ = dataset_from_csv(path, schema, seed=seed)
         return dataset
-    if kind == "idx":
-        images = load_idx(
-            os.path.join(base_dir, descriptor["images"]),
-            os.path.join(base_dir, descriptor["labels"]),
-        )
-        dataset = binarize_label(images, int(descriptor["digit"]))
-        return split(dataset, seed=seed)
-    raise DataError(f"unknown dataset kind {kind!r}")
+    images = load_idx(
+        os.path.join(base_dir, descriptor["images"]),
+        os.path.join(base_dir, descriptor["labels"]),
+    )
+    dataset = binarize_label(images, int(descriptor["digit"]))
+    return split(dataset, seed=seed)
 
 
 def dataset_name(descriptor: dict) -> str:
@@ -263,7 +276,8 @@ def dataset_name(descriptor: dict) -> str:
     if kind == "synthetic":
         return str(descriptor.get("generator", "synthetic"))
     if kind == "csv":
-        return os.path.splitext(os.path.basename(descriptor.get("path", "csv")))[0]
+        path = descriptor.get("path")
+        return os.path.splitext(os.path.basename(path))[0] if isinstance(path, str) else "csv"
     return f"digit{descriptor.get('digit', '')}"
 
 

@@ -199,6 +199,16 @@ def test_explain_subcommand_ranks_coefficients(tmp_path, capsys):
     assert "hours" in stdout and "capital" in stdout and "age" not in stdout
 
 
+@pytest.mark.parametrize("top", ["0", "-2"])
+def test_explain_rejects_top_below_one(tmp_path, capsys, top):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(surrogate_to_dict(
+        LinearSurrogate(phi=np.array([0.1, -0.9, 0.5]), bias=0.25), ("a", "b", "c"))))
+    assert main(["explain", "--surrogate", str(path), "--top", top]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"explain failed: --top must be at least 1, got {top}\n"
+
+
 def explain_input(tmp_path, case):
     path = tmp_path / "g.json"
     if case == "bad json":
@@ -307,6 +317,9 @@ def write_model(path, d):
     ([1, 2], "dataset descriptor must be an object"),
     ({"kind": "synthetic", "generator": "nonlinear", "d": 3}, "lacks 'n'"),
     ({"kind": "csv", "path": "toy.csv"}, "lacks 'columns'"),
+    (dict(DESCRIPTOR, n=None), "key 'n' has the wrong type: None"),
+    (dict(DESCRIPTOR, noise=None), "key 'noise' has the wrong type: None"),
+    ({"kind": "csv", "path": 5, "columns": []}, "key 'path' has the wrong type: 5"),
 ])
 def test_malformed_descriptor_reports_failure(tmp_path, capsys, command, descriptor,
                                               message):
@@ -321,16 +334,26 @@ def test_malformed_descriptor_reports_failure(tmp_path, capsys, command, descrip
     assert err.startswith(prefix) and message in err
 
 
-def test_experiment_records_descriptor_without_path_as_failed_runs(tmp_path, capsys):
+def write_csv_spec(tmp_path, **extra):
     spec = tmp_path / "exp.json"
     spec.write_text(json.dumps({
-        "dataset": {"kind": "csv", "columns": [{"name": "y", "kind": "target"}]},
+        "dataset": {"kind": "csv", "columns": [{"name": "y", "kind": "target"}], **extra},
         "methods": [{"method": "MOO"}], "seeds": [0, 1],
         "output_dir": str(tmp_path / "out"),
     }))
-    assert main(["experiment", "--spec", str(spec)]) == 2
+    return str(spec)
+
+
+def test_experiment_records_descriptor_without_path_as_failed_runs(tmp_path, capsys):
+    assert main(["experiment", "--spec", write_csv_spec(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("DataError: csv dataset descriptor lacks 'path'") == 2
+
+
+def test_experiment_records_descriptor_path_of_wrong_type_as_failed_runs(tmp_path, capsys):
+    assert main(["experiment", "--spec", write_csv_spec(tmp_path, path=5)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("DataError: csv dataset descriptor key 'path' has the wrong type: 5") == 2
 
 
 def test_gnf_rejects_surrogate_of_another_width(tmp_path, capsys):

@@ -158,6 +158,18 @@ def test_resolve_rejects_unknown_kind():
     ({"kind": "csv", "path": "toy.csv",
       "columns": [{"name": "y", "kind": "target", "levels": 5}]}, "'levels' list"),
     ({"kind": "idx", "images": "i.idx", "labels": "l.idx"}, "lacks 'digit'"),
+    ({"kind": [1]}, "unknown dataset kind [1]"),
+    (dict(SYNTH, n=60.9), "key 'n' has the wrong type: 60.9"),
+    (dict(SYNTH, n="abc"), "key 'n' has the wrong type: 'abc'"),
+    (dict(SYNTH, n=None), "key 'n' has the wrong type: None"),
+    (dict(SYNTH, d=True), "key 'd' has the wrong type: True"),
+    (dict(SYNTH, noise=None), "key 'noise' has the wrong type: None"),
+    (dict(SYNTH, generator=5), "key 'generator' has the wrong type: 5"),
+    ({"kind": "csv", "path": 5, "columns": []}, "key 'path' has the wrong type: 5"),
+    ({"kind": "idx", "images": None, "labels": "l.idx", "digit": 3},
+     "key 'images' has the wrong type: None"),
+    ({"kind": "idx", "images": "i.idx", "labels": "l.idx", "digit": "3"},
+     "key 'digit' has the wrong type: '3'"),
 ])
 def test_resolve_rejects_malformed_descriptor(descriptor, message):
     with pytest.raises(DataError) as info:
@@ -172,6 +184,7 @@ def test_dataset_name_prefers_explicit_name():
     assert dataset_name({"kind": "csv", "path": "dir/adult.csv"}) == "adult"
     assert dataset_name({"kind": "idx", "digit": 3}) == "digit3"
     assert dataset_name({"kind": "csv"}) == "csv"
+    assert dataset_name({"kind": "csv", "path": 5}) == "csv"
 
 
 # -- config merging -------------------------------------------------------------
