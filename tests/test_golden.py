@@ -14,7 +14,7 @@ import json
 
 from tandem.cli import main
 
-GOLDEN = "9fe49e7e3383939aed5182a0ef5395989f80ee3f7044206442adab7ed57c5593"
+GOLDEN = "13bdad99394c7a66ef220ffb688c1456a41ebd5be7c2a49a57892c628afc2bc8"
 
 DESCRIPTOR = {"kind": "synthetic", "generator": "nonlinear", "n": 300, "d": 5,
               "noise": 0.3}
@@ -79,6 +79,8 @@ def _fingerprint(tmp_path, capsys) -> str:
            "--seed", "1", "--points", "7"]
     run(gnf)
     run(gnf + ["--surrogate", surrogate])
+    run(["explain", "--surrogate", surrogate, "--top", "2"])
+    run(["explain", "--surrogate", surrogate, "--format", "json"])
 
     (tmp_path / "linreg.json").write_text(json.dumps(REGRESSION))
     run(["train", "--dataset", str(tmp_path / "linreg.json"), "--seed", "2",
