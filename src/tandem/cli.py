@@ -45,11 +45,13 @@ __all__ = ["main"]
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+    """The ``train`` flags, each stored under its TrainConfig field name."""
     parser.add_argument("--method", default="MOO", choices=METHODS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--alpha", type=float, default=None,
                         help="fixed weight for GS")
-    parser.add_argument("--epochs", type=int, default=None)
+    parser.add_argument("--epochs", type=int, default=None, dest="max_epochs",
+                        metavar="EPOCHS")
     parser.add_argument("--batch-size", type=int, default=None)
     parser.add_argument("--lr-theta", type=float, default=None)
     parser.add_argument("--lr-phi", type=float, default=None)
@@ -57,18 +59,13 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated hidden layer sizes, e.g. 32,32")
 
 
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+
+
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
-    entry: dict = {"method": args.method}
-    if args.alpha is not None:
-        entry["alpha"] = args.alpha
-    if args.epochs is not None:
-        entry["max_epochs"] = args.epochs
-    if args.batch_size is not None:
-        entry["batch_size"] = args.batch_size
-    if args.lr_theta is not None:
-        entry["lr_theta"] = args.lr_theta
-    if args.lr_phi is not None:
-        entry["lr_phi"] = args.lr_phi
+    """The TrainConfig of the ``train`` flags that were given."""
+    entry = {key: value for key, value in vars(args).items()
+             if key in _CONFIG_FIELDS and value is not None}
     if args.hidden is not None:
         entry["hidden"] = [int(h) for h in args.hidden.split(",") if h]
     return build_config(entry, None, args.seed)

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .trainers import (
     TrainConfig,
     TrainReport,
     _eval_rows,
-    report_to_dict,
     run_methods,
 )
 
@@ -55,7 +54,9 @@ RESULTS_VERSION = 1
 TASK_METRIC = "task"
 GF_METRIC = "gf"
 GNF_METRIC = "gnf"
-KNOWN_METRICS = (TASK_METRIC, GF_METRIC, GNF_METRIC)
+# The TrainReport field each metric name aggregates.
+_METRIC_FIELDS = {TASK_METRIC: "task_metric", GF_METRIC: "gf", GNF_METRIC: "gnf"}
+KNOWN_METRICS = tuple(_METRIC_FIELDS)
 
 PARETO_ALPHAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
@@ -327,7 +328,6 @@ def evaluate_gnf(
     seed: int,
     dataset: Dataset,
     settings: GnfSettings,
-    config: TrainConfig | None = None,
 ) -> float | None:
     """GNF of one trained model over the first test instances.
 
@@ -335,7 +335,6 @@ def evaluate_gnf(
     draw, when settings.local is set, otherwise the given global surrogate
     (which local mode does not read and may be None).  The linear-only
     method has no black-box to explain, so its GNF is absent (None).
-    ``config`` is not read: local fits take no training settings.
     """
     if model is None:
         return None
@@ -364,21 +363,12 @@ def write_run_artifacts(out_dir: str, name: str, outcome: RunOutcome,
     runs_dir = os.path.join(out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
     stem = f"{name}_{_safe_name(outcome.method)}_{outcome.seed}"
-    _write_json(os.path.join(runs_dir, f"{stem}_report.json"),
-                report_to_dict(outcome.report))
+    _write_json(os.path.join(runs_dir, f"{stem}_report.json"), asdict(outcome.report))
     _write_json(os.path.join(runs_dir, f"{stem}_surrogate.json"),
                 surrogate_to_dict(outcome.surrogate, feature_names))
     if outcome.model is not None:
         _write_json(os.path.join(runs_dir, f"{stem}_model.json"),
                     mlp_to_dict(outcome.model))
-
-
-def _metric_value(outcome: RunOutcome, metric: str) -> float | None:
-    if metric == TASK_METRIC:
-        return outcome.report.task_metric
-    if metric == GF_METRIC:
-        return outcome.report.gf
-    return outcome.report.gnf
 
 
 def _metric_name(metric: str, dataset: Dataset) -> str:
@@ -403,7 +393,7 @@ def aggregate_rows(
     for label in labels:
         runs = [o for o in outcomes if o.method == label]
         for metric in metrics:
-            values = [_metric_value(o, metric) for o in runs]
+            values = [getattr(o.report, _METRIC_FIELDS[metric]) for o in runs]
             values = [v for v in values if v is not None]
             if not values:
                 continue
@@ -472,15 +462,13 @@ def run_experiment(
                 continue
             try:
                 model, surrogate, report = result
+                if GNF_METRIC in spec.metrics:
+                    value = evaluate_gnf(model, surrogate, seed, dataset, spec.gnf)
+                    report = dataclasses.replace(report, gnf=value)
                 outcome = RunOutcome(
                     method=entry_label, seed=seed,
                     model=model, surrogate=surrogate, report=report,
                 )
-                if GNF_METRIC in spec.metrics:
-                    value = evaluate_gnf(model, surrogate, seed, dataset, spec.gnf)
-                    outcome = dataclasses.replace(
-                        outcome, report=dataclasses.replace(report, gnf=value)
-                    )
                 outcomes.append(outcome)
                 write_run_artifacts(
                     spec.output_dir, name, outcome, dataset.feature_names
@@ -566,7 +554,7 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.6g}"
 
 
-REPORT_COLUMNS = ("dataset", "method", "metric", "mean", "std")
+REPORT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _write_csv(path: str, header: tuple[str, ...], records) -> None:
@@ -589,18 +577,19 @@ def _cell(value):
     return _fmt(value) if value is None or isinstance(value, float) else value
 
 
-def _emit(records, header: tuple[str, ...], schema: str, key: str,
+def _emit(records, record_type: type, schema: str, key: str,
           fmt: str, path: str) -> None:
-    """Write value tuples under ``header`` as CSV, or as versioned JSON with
-    one object per record under ``key``.  Floats keep six significant
-    digits in both; in CSV None is an empty field and a bool a lowercase
-    word."""
+    """Write dataclass records as CSV with one column per field of
+    ``record_type``, or as versioned JSON with one object per record under
+    ``key``.  Floats keep six significant digits in both; in CSV None is an
+    empty field and a bool a lowercase word."""
     if fmt == "csv":
-        _write_csv(path, header, ([_cell(v) for v in record] for record in records))
+        _write_csv(path, tuple(f.name for f in fields(record_type)),
+                   ([_cell(v) for v in astuple(record)] for record in records))
     elif fmt == "json":
         _write_json(path, {"schema": schema, "version": RESULTS_VERSION, key: [
             {name: float(_fmt(v)) if isinstance(v, float) else v
-             for name, v in zip(header, record)}
+             for name, v in asdict(record).items()}
             for record in records]})
     else:
         raise ValueError(f"unknown report format {fmt!r}")
@@ -612,8 +601,7 @@ def emit_report(rows: list[ResultRow], fmt: str, path: str) -> None:
     Columns are fixed as dataset,method,metric,mean,std with floats at six
     significant digits; an empty table still gets the CSV header.
     """
-    _emit([(r.dataset, r.method, r.metric, r.mean, r.std) for r in rows],
-          REPORT_COLUMNS, RESULTS_SCHEMA, "rows", fmt, path)
+    _emit(rows, ResultRow, RESULTS_SCHEMA, "rows", fmt, path)
 
 
 def read_report_csv(path: str) -> list[ResultRow]:
@@ -636,18 +624,10 @@ def read_report_csv(path: str) -> list[ResultRow]:
 
 def emit_scatter(points: list[ScatterPoint], fmt: str, path: str) -> None:
     """Write trade-off scan points as CSV or versioned JSON."""
-    _emit([(p.seed, p.method, p.alpha, p.task_metric, p.gf, p.dominated) for p in points],
-          ("seed", "method", "alpha", "task_metric", "gf", "dominated"),
-          "tandem-pareto", "points", fmt, path)
+    _emit(points, ScatterPoint, "tandem-pareto", "points", fmt, path)
 
 
 def write_failures(failures: list[RunFailure], out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    payload = {
-        "failures": [
-            {"dataset": f.dataset, "method": f.method, "seed": f.seed,
-             "error": f.error, "error_type": f.error_type}
-            for f in failures
-        ]
-    }
-    _write_json(os.path.join(out_dir, "failures.json"), payload)
+    _write_json(os.path.join(out_dir, "failures.json"),
+                {"failures": [asdict(f) for f in failures]})

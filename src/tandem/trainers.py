@@ -167,24 +167,6 @@ class TrainReport:
     min_dot_pf: float | None = None
 
 
-def report_to_dict(report: TrainReport) -> dict:
-    """JSON-ready dictionary with all report fields."""
-    return {
-        "method": report.method,
-        "seed": report.seed,
-        "loss_pred_history": list(report.loss_pred_history),
-        "loss_pf_history": list(report.loss_pf_history),
-        "alpha_history": list(report.alpha_history),
-        "epochs_run": report.epochs_run,
-        "stopped_reason": report.stopped_reason,
-        "task_metric": report.task_metric,
-        "gf": report.gf,
-        "gnf": report.gnf,
-        "min_dot_pred": report.min_dot_pred,
-        "min_dot_pf": report.min_dot_pf,
-    }
-
-
 def _pred_kind(dataset: Dataset) -> str:
     return BCE if dataset.task == CLASSIFICATION else MSE
 

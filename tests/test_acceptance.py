@@ -316,10 +316,9 @@ def test_criterion_6_local_neighborhood_fidelity_halves(paired_runs):
     for method in (MOO, STL):
         per_seed = []
         for seed in SEEDS:
-            model, surrogate, _, config = paired_runs["runs"][(method, seed)]
+            model, surrogate, _, _ = paired_runs["runs"][(method, seed)]
             value = evaluate_gnf(
-                model, surrogate, seed, paired_runs["datasets"][seed],
-                settings, config,
+                model, surrogate, seed, paired_runs["datasets"][seed], settings,
             )
             per_seed.append(value)
         values[method] = float(np.mean(per_seed))

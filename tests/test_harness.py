@@ -321,8 +321,7 @@ def test_gnf_metric_attaches_to_reports(tmp_path):
 
 def test_evaluate_gnf_absent_without_black_box():
     dataset = resolve_dataset(SYNTH, seed=0)
-    value = evaluate_gnf(None, init_surrogate(3), 0, dataset, GnfSettings(),
-                         TrainConfig(seed=0))
+    value = evaluate_gnf(None, init_surrogate(3), 0, dataset, GnfSettings())
     assert value is None
 
 

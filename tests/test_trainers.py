@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import replace
 
@@ -73,7 +74,6 @@ from tandem.trainers import (
     TrainConfig,
     _joint_loop,
     fit_local_surrogate,
-    report_to_dict,
     run_method,
     run_methods,
     train_linear,
@@ -201,7 +201,7 @@ def test_moo_training_is_deterministic():
     model_b, g_b, rep_b = run_method(ds, cfg)
     assert np.array_equal(flatten_params(model_a), flatten_params(model_b))
     assert np.array_equal(g_a.phi, g_b.phi) and g_a.bias == g_b.bias
-    assert report_to_dict(rep_a) == report_to_dict(rep_b)
+    assert dataclasses.asdict(rep_a) == dataclasses.asdict(rep_b)
 
 
 def test_moo_zero_function_on_zero_targets_is_stationary_immediately():
@@ -261,7 +261,7 @@ def test_stl_is_deterministic():
     _, g_a, rep_a = run_method(ds, cfg)
     _, g_b, rep_b = run_method(ds, cfg)
     assert np.array_equal(g_a.phi, g_b.phi)
-    assert report_to_dict(rep_a) == report_to_dict(rep_b)
+    assert dataclasses.asdict(rep_a) == dataclasses.asdict(rep_b)
 
 
 def test_stl_histories_cover_both_phases():
@@ -366,7 +366,7 @@ def test_distillation_is_deterministic():
     cfg = TrainConfig(method=JDIST, seed=8, **SMALL)
     _, _, rep_a = run_method(ds, cfg)
     _, _, rep_b = run_method(ds, cfg)
-    assert report_to_dict(rep_a) == report_to_dict(rep_b)
+    assert dataclasses.asdict(rep_a) == dataclasses.asdict(rep_b)
 
 
 # -- loop equivalence -----------------------------------------------------------
@@ -911,7 +911,7 @@ def test_linear_model_is_deterministic():
     g_a, rep_a = train_linear(ds, cfg)
     g_b, rep_b = train_linear(ds, cfg)
     assert np.array_equal(g_a.phi, g_b.phi)
-    assert report_to_dict(rep_a) == report_to_dict(rep_b)
+    assert dataclasses.asdict(rep_a) == dataclasses.asdict(rep_b)
 
 
 # -- local surrogate fits -----------------------------------------------------
@@ -1071,7 +1071,7 @@ def test_reports_serialize_to_json():
     ds = small_classification_dataset()
     cfg = TrainConfig(method=MOO, seed=0, max_epochs=5, batch_size=64, hidden=(8,))
     _, _, report = run_method(ds, cfg)
-    payload = json.dumps(report_to_dict(report))
+    payload = json.dumps(dataclasses.asdict(report))
     decoded = json.loads(payload)
     assert decoded["method"] == MOO
     assert decoded["stopped_reason"] in (STOP_BUDGET, STOP_STATIONARY)
