@@ -490,8 +490,8 @@ def make_synthetic(kind: str, n: int, d: int, noise: float, seed: int) -> Datase
         raise ValueError(f"unknown synthetic kind {kind!r}")
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
     rng = rng_for(seed, "synthetic")
     X = rng.standard_normal((n, d))
     names = tuple(f"x{i}" for i in range(d))

@@ -35,6 +35,42 @@ def spec_path(tmp_path, descriptor_path):
     return str(path)
 
 
+@pytest.mark.parametrize("flags, expected", [
+    ([], TrainConfig()),
+    (["--method", "GS", "--seed", "3", "--alpha", "0.25", "--epochs", "7",
+      "--batch-size", "16", "--lr-theta", "0.02", "--lr-phi", "0.005", "--hidden", "6,5"],
+     TrainConfig(method="GS", seed=3, alpha=0.25, max_epochs=7, batch_size=16,
+                 lr_theta=0.02, lr_phi=0.005, hidden=(6, 5))),
+])
+def test_train_flags_land_in_their_config_fields(tmp_path, descriptor_path, monkeypatch,
+                                                 capsys, flags, expected):
+    configs = []
+
+    def record(dataset, config):
+        configs.append(config)
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr("tandem.cli.run_method", record)
+    code = main(["train", "--dataset", descriptor_path, "--out", str(tmp_path / "o"),
+                 *flags])
+    assert code == 1
+    assert capsys.readouterr().err == "run failed: recorded\n"
+    assert configs == [expected]
+
+
+def test_train_help_keeps_the_flag_metavars(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for flag, metavar in (("--epochs", "EPOCHS"), ("--batch-size", "BATCH_SIZE"),
+                          ("--lr-theta", "LR_THETA"), ("--lr-phi", "LR_PHI"),
+                          ("--hidden", "HIDDEN")):
+        assert f"[{flag} {metavar}]" in out
+        assert f"\n  {flag} {metavar}" in out
+
+
 def test_train_subcommand_writes_artifacts(tmp_path, descriptor_path, capsys):
     out = tmp_path / "run_out"
     code = main([
@@ -332,6 +368,17 @@ def test_malformed_descriptor_reports_failure(tmp_path, capsys, command, descrip
     err = capsys.readouterr().err
     prefix = "run failed: " if command == "train" else "gnf failed: "
     assert err.startswith(prefix) and message in err
+
+
+@pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])
+def test_train_rejects_noise_that_is_negative_or_not_finite(tmp_path, capsys, noise):
+    path = tmp_path / "noisy.json"
+    path.write_text(json.dumps(dict(DESCRIPTOR, noise=noise)))  # NaN, Infinity
+    code = main(["train", "--dataset", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: noise must be finite and nonnegative, got ")
+    assert not (tmp_path / "o").exists()
 
 
 def write_csv_spec(tmp_path, **extra):

@@ -177,6 +177,12 @@ def test_resolve_rejects_malformed_descriptor(descriptor, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])
+def test_resolve_rejects_noise_that_is_negative_or_not_finite(noise):
+    with pytest.raises(ValueError, match="noise must be finite and nonnegative"):
+        resolve_dataset(dict(SYNTH, noise=noise), seed=0)
+
+
 def test_dataset_name_prefers_explicit_name():
     assert dataset_name({"kind": "synthetic", "generator": "nonlinear",
                          "name": "toy"}) == "toy"
