@@ -18,6 +18,7 @@ import sys
 from functools import partial
 
 from .harness import (
+    _CONFIG_FIELDS,
     ExperimentSpec,
     GnfSettings,
     build_config,
@@ -57,9 +58,6 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr-phi", type=float, default=None)
     parser.add_argument("--hidden", default=None,
                         help="comma-separated hidden layer sizes, e.g. 32,32")
-
-
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
