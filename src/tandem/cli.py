@@ -15,7 +15,7 @@ import dataclasses
 import json
 import os
 import sys
-from functools import partial
+from functools import cache
 
 from .harness import (
     _CONFIG_FIELDS,
@@ -65,7 +65,10 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
     entry = {key: value for key, value in vars(args).items()
              if key in _CONFIG_FIELDS and value is not None}
     if args.hidden is not None:
-        entry["hidden"] = [int(h) for h in args.hidden.split(",") if h]
+        try:
+            entry["hidden"] = [int(h) for h in args.hidden.split(",")]
+        except ValueError:
+            raise DataError(f"--hidden takes widths such as 32,32, got {args.hidden!r}") from None
     return build_config(entry, None, args.seed)
 
 
@@ -181,6 +184,8 @@ def _cmd_gnf(args: argparse.Namespace) -> int:
     return 0
 
 
+# One parser per process: every handler looks up what it calls when it runs.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tandem",
@@ -200,16 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--spec", required=True, help="experiment spec JSON path")
     p_exp.add_argument("--out", default=None, help="override spec output_dir")
     p_exp.add_argument("--format", default="csv", choices=("csv", "json"))
-    p_exp.set_defaults(func=partial(_run_grid, run=run_experiment, emit=emit_report,
-                                    stem="results", line=_row_line))
+    p_exp.set_defaults(func=lambda args: _run_grid(
+        args, run_experiment, emit_report, "results", _row_line))
 
     p_scan = sub.add_parser("pareto-scan",
                             help="fixed-weight grid plus min-norm trade-off scan")
     p_scan.add_argument("--spec", required=True)
     p_scan.add_argument("--out", default=None)
     p_scan.add_argument("--format", default="csv", choices=("csv", "json"))
-    p_scan.set_defaults(func=partial(_run_grid, run=pareto_scan, emit=emit_scatter,
-                                     stem="pareto", line=_point_line))
+    p_scan.set_defaults(func=lambda args: _run_grid(
+        args, pareto_scan, emit_scatter, "pareto", _point_line))
 
     p_explain = sub.add_parser("explain",
                                help="rank a saved surrogate's coefficients")

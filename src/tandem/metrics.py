@@ -114,27 +114,32 @@ def make_neighborhood(
     if rng is None:
         rng = rng_for(spec.seed, "neighborhood")
     if spec.kind == GAUSSIAN:
-        noise = rng.standard_normal((spec.count, x.shape[0]))
-        return x + np.sqrt(spec.sigma2) * noise
+        return _gaussian(x[None], spec, [rng])[0]
     h, w = spec.image_dims
     if x.shape[0] != h * w:
         raise ShapeError(f"instance length {x.shape[0]} does not match {h}x{w} image")
     neighbors = np.repeat(x[None, :], spec.count, axis=0)
-    for i in range(spec.count):
-        image = neighbors[i].reshape(h, w)
+    for image in neighbors.reshape(spec.count, h, w):  # views into neighbors
         for _ in range(spec.num_patches):
             r = int(rng.integers(0, h - spec.patch_size + 1))
             c = int(rng.integers(0, w - spec.patch_size + 1))
             image[r:r + spec.patch_size, c:c + spec.patch_size] = 0.0
-        neighbors[i] = image.reshape(-1)
     return neighbors
+
+
+def _gaussian(X: np.ndarray, spec: NeighborhoodSpec, rngs) -> np.ndarray:
+    """Row i of X plus count draws of rngs[i]'s noise, as a (P, count, d) stack."""
+    noise = np.stack([rng.standard_normal((spec.count, X.shape[1])) for rng in rngs])
+    return X[:, None, :] + np.sqrt(spec.sigma2) * noise
 
 
 def neighborhoods(X: np.ndarray, spec: NeighborhoodSpec, label: str) -> np.ndarray:
     """The neighborhoods of the rows of X as one (P, count, d) stack,
     instance i's drawn from the stream (spec.seed, label, i)."""
-    return np.stack([make_neighborhood(X[i], spec, rng_for(spec.seed, label, i))
-                     for i in range(X.shape[0])])
+    rngs = [rng_for(spec.seed, label, i) for i in range(len(X))]
+    if spec.kind == GAUSSIAN:
+        return _gaussian(np.asarray(X, dtype=np.float64), spec, rngs)
+    return np.stack([make_neighborhood(x, spec, rng) for x, rng in zip(X, rngs)])
 
 
 def _fit_local(neighbors: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from tandem.cli import main
+import tandem.cli
+from tandem.cli import build_parser, main
 from tandem.harness import resolve_dataset
 from tandem.nn import IDENTITY, REGRESSION_SCALAR, Layer, MlpModel, mlp_to_dict
 from tandem.surrogate import LinearSurrogate, surrogate_to_dict
@@ -56,6 +57,45 @@ def test_train_flags_land_in_their_config_fields(tmp_path, descriptor_path, monk
     assert code == 1
     assert capsys.readouterr().err == "run failed: recorded\n"
     assert configs == [expected]
+
+
+@pytest.mark.parametrize("hidden, message", [
+    ("8,,4", "--hidden takes widths such as 32,32, got '8,,4'"),
+    ("8,", "--hidden takes widths such as 32,32, got '8,'"),
+    (",8", "--hidden takes widths such as 32,32, got ',8'"),
+    ("", "--hidden takes widths such as 32,32, got ''"),
+    ("0", "hidden layer widths must be >= 1"),
+])
+def test_train_rejects_a_malformed_hidden_list(tmp_path, descriptor_path, capsys,
+                                               hidden, message):
+    code = main(["train", "--dataset", descriptor_path, "--out", str(tmp_path / "o"),
+                 "--epochs", "1", "--hidden", hidden])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"run failed: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
+class Dispatched(Exception):
+    """Raised by a stand-in for a package function a handler calls."""
+
+
+def test_handlers_call_the_package_functions_bound_when_they_run(
+        tmp_path, spec_path, descriptor_path, monkeypatch):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(mlp_to_dict(MlpModel(
+        (Layer(np.ones((1, 3)), np.zeros(1), IDENTITY),), REGRESSION_SCALAR))))
+    gnf = ["gnf", "--dataset", descriptor_path, "--model", str(model), "--points", "2"]
+    assert main(gnf) == 0
+    for name in ("run_experiment", "pareto_scan", "evaluate_gnf"):
+        def stand_in(*args, name=name, **kwargs):
+            raise Dispatched(name)
+        monkeypatch.setattr(tandem.cli, name, stand_in)
+    for argv, name in ((["experiment", "--spec", spec_path], "run_experiment"),
+                       (["pareto-scan", "--spec", spec_path], "pareto_scan"),
+                       (gnf, "evaluate_gnf")):
+        with pytest.raises(Dispatched, match=f"^{name}$"):
+            main(argv)
+    assert build_parser() is build_parser()
 
 
 def test_train_help_keeps_the_flag_metavars(monkeypatch, capsys):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tandem.errors import ShapeError
 from tandem.metrics import (
@@ -13,6 +15,7 @@ from tandem.metrics import (
     gnf,
     make_neighborhood,
     mse_metric,
+    neighborhoods,
 )
 from tandem.nn import IDENTITY, REGRESSION_SCALAR, Layer, MlpModel, forward_batch, init_mlp
 from tandem.seeding import rng_for
@@ -177,6 +180,34 @@ def test_patch_delete_rejects_length_mismatch():
     )
     with pytest.raises(ShapeError):
         make_neighborhood(np.ones(15), spec)
+
+
+def neighborhood_cases():
+    """(X, spec, label) with X's rows sized to the spec's kind."""
+    def case(kind, points, count, sigma2, seed, label, dims, patch, patches, values):
+        h, w = dims
+        X = np.asarray(values[:points * h * w]).reshape(points, h * w)
+        image = dict(image_dims=dims, patch_size=min(patch, h, w), num_patches=patches)
+        spec = NeighborhoodSpec(kind=kind, count=count, sigma2=sigma2, seed=seed,
+                                **(image if kind == PATCH_DELETE else {}))
+        return X, spec, label
+
+    return st.builds(
+        case, st.sampled_from((GAUSSIAN, PATCH_DELETE)), st.integers(1, 6),
+        st.integers(1, 12), st.floats(1e-6, 1e3), st.integers(0, 2**32 - 1),
+        st.text(max_size=6), st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        st.integers(1, 5), st.integers(1, 3),
+        st.lists(st.floats(-1e6, 1e6), min_size=150, max_size=150))
+
+
+@given(neighborhood_cases())
+def test_neighborhood_stack_rows_are_the_single_instance_neighborhoods(case):
+    X, spec, label = case
+    stack = neighborhoods(X, spec, label)
+    assert stack.shape == (X.shape[0], spec.count, X.shape[1])
+    for i in range(X.shape[0]):
+        row = make_neighborhood(X[i], spec, rng_for(spec.seed, label, i))
+        assert stack[i].tobytes() == row.tobytes()
 
 
 # -- neighborhood fidelity ----------------------------------------------------
