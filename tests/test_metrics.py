@@ -208,6 +208,9 @@ def test_neighborhood_stack_rows_are_the_single_instance_neighborhoods(case):
     for i in range(X.shape[0]):
         row = make_neighborhood(X[i], spec, rng_for(spec.seed, label, i))
         assert stack[i].tobytes() == row.tobytes()
+        if spec.kind == GAUSSIAN:  # the per-instance arithmetic, written out
+            noise = rng_for(spec.seed, label, i).standard_normal((spec.count, X.shape[1]))
+            assert row.tobytes() == (X[i] + np.sqrt(spec.sigma2) * noise).tobytes()
 
 
 # -- neighborhood fidelity ----------------------------------------------------
