@@ -15,7 +15,7 @@ import dataclasses
 import json
 import os
 import sys
-from functools import cache
+from functools import partial
 
 from .harness import (
     _CONFIG_FIELDS,
@@ -184,8 +184,6 @@ def _cmd_gnf(args: argparse.Namespace) -> int:
     return 0
 
 
-# One parser per process: every handler looks up what it calls when it runs.
-@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tandem",
@@ -205,16 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--spec", required=True, help="experiment spec JSON path")
     p_exp.add_argument("--out", default=None, help="override spec output_dir")
     p_exp.add_argument("--format", default="csv", choices=("csv", "json"))
-    p_exp.set_defaults(func=lambda args: _run_grid(
-        args, run_experiment, emit_report, "results", _row_line))
+    p_exp.set_defaults(func=partial(_run_grid, run=run_experiment, emit=emit_report,
+                                    stem="results", line=_row_line))
 
     p_scan = sub.add_parser("pareto-scan",
                             help="fixed-weight grid plus min-norm trade-off scan")
     p_scan.add_argument("--spec", required=True)
     p_scan.add_argument("--out", default=None)
     p_scan.add_argument("--format", default="csv", choices=("csv", "json"))
-    p_scan.set_defaults(func=lambda args: _run_grid(
-        args, pareto_scan, emit_scatter, "pareto", _point_line))
+    p_scan.set_defaults(func=partial(_run_grid, run=pareto_scan, emit=emit_scatter,
+                                     stem="pareto", line=_point_line))
 
     p_explain = sub.add_parser("explain",
                                help="rank a saved surrogate's coefficients")

@@ -136,9 +136,12 @@ def _gaussian(X: np.ndarray, spec: NeighborhoodSpec, rngs) -> np.ndarray:
 def neighborhoods(X: np.ndarray, spec: NeighborhoodSpec, label: str) -> np.ndarray:
     """The neighborhoods of the rows of X as one (P, count, d) stack,
     instance i's drawn from the stream (spec.seed, label, i)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ShapeError(f"expected nonempty 2-d data, got shape {X.shape}")
     rngs = [rng_for(spec.seed, label, i) for i in range(len(X))]
     if spec.kind == GAUSSIAN:
-        return _gaussian(np.asarray(X, dtype=np.float64), spec, rngs)
+        return _gaussian(X, spec, rngs)
     return np.stack([make_neighborhood(x, spec, rng) for x, rng in zip(X, rngs)])
 
 
@@ -183,13 +186,11 @@ def gnf(
     (P, d+1) flat (phi, bias) parameters.  The black-box runs once over
     the stack of neighborhoods.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ShapeError(f"expected nonempty 2-d data, got shape {X.shape}")
-    if np.shape(surrogates) != (X.shape[0], X.shape[1] + 1):
-        raise ShapeError(f"surrogates have shape {np.shape(surrogates)}, expected "
-                         f"{(X.shape[0], X.shape[1] + 1)}: one row of d+1 per instance")
     neighbors = neighborhoods(X, spec, "gnf")
+    expected = (neighbors.shape[0], neighbors.shape[2] + 1)
+    if np.shape(surrogates) != expected:
+        raise ShapeError(f"surrogates have shape {np.shape(surrogates)}, expected "
+                         f"{expected}: one row of d+1 per instance")
     f_out = forward_batch(f, neighbors)
     g_out = _predict_flat(surrogates, neighbors)
     if not (np.isfinite(f_out).all() and np.isfinite(g_out).all()):

@@ -41,4 +41,4 @@ def rng_for(seed: int, *labels: str | int) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     entropy = [seed] + [_label_code(l) for l in labels]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return np.random.default_rng(np.random.SeedSequence(entropy))

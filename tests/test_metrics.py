@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -180,6 +182,14 @@ def test_patch_delete_rejects_length_mismatch():
     )
     with pytest.raises(ShapeError):
         make_neighborhood(np.ones(15), spec)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (0, 4)])
+@pytest.mark.parametrize("kind", [GAUSSIAN, PATCH_DELETE])
+def test_neighborhoods_reject_data_not_nonempty_2d(kind, shape):
+    spec = NeighborhoodSpec(kind=kind, count=2, patch_size=1, image_dims=(2, 2))
+    with pytest.raises(ShapeError, match=f"got shape {re.escape(str(shape))}"):
+        neighborhoods(np.ones(shape), spec, "gnf")
 
 
 def neighborhood_cases():
