@@ -187,10 +187,9 @@ def gnf(
     the stack of neighborhoods.
     """
     neighbors = neighborhoods(X, spec, "gnf")
-    expected = (neighbors.shape[0], neighbors.shape[2] + 1)
-    if np.shape(surrogates) != expected:
+    if np.shape(surrogates) != (len(neighbors), neighbors.shape[2] + 1):
         raise ShapeError(f"surrogates have shape {np.shape(surrogates)}, expected "
-                         f"{expected}: one row of d+1 per instance")
+                         f"{(len(neighbors), neighbors.shape[2] + 1)}: one row of d+1 per instance")
     f_out = forward_batch(f, neighbors)
     g_out = _predict_flat(surrogates, neighbors)
     if not (np.isfinite(f_out).all() and np.isfinite(g_out).all()):

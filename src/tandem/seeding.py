@@ -41,4 +41,6 @@ def rng_for(seed: int, *labels: str | int) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     entropy = [seed] + [_label_code(l) for l in labels]
+    if max(entropy) < 2**32:  # one word each: the words SeedSequence makes of the list
+        entropy = np.array(entropy, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -66,3 +66,13 @@ def test_streams_are_equal_for_equal_labels_and_differ_otherwise(seed, pair):
     codes_b = [zlib.crc32(name_b.encode("utf-8")), *idx_b]
     assume(codes_a != codes_b)
     assert a[0] != rng_for(seed, name_b, *idx_b).standard_normal(4)[0]
+
+
+@given(st.integers(0, 2**64),
+       st.lists(st.one_of(st.text(max_size=8), st.integers(0, 2**40)), max_size=3))
+def test_streams_draw_what_the_seed_sequence_of_their_entropy_list_draws(seed, labels):
+    codes = [l if isinstance(l, int) else zlib.crc32(l.encode("utf-8")) for l in labels]
+    expected = np.random.default_rng(np.random.SeedSequence([seed, *codes]))
+    ours = rng_for(seed, *labels)
+    assert ours.standard_normal(6).tobytes() == expected.standard_normal(6).tobytes()
+    assert np.array_equal(ours.integers(0, 2**63, 4), expected.integers(0, 2**63, 4))
