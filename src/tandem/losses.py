@@ -74,11 +74,18 @@ def upstream_derivative(outputs, targets, kind: str) -> np.ndarray:
     targets (K, N) or one (N,) row shared by every batch.
     """
     o, t = _pair(outputs, targets, stack=True)
+    if kind == BCE:
+        _check_bce_targets(t)
+    return _upstream(o, t, kind)
+
+
+def _upstream(o: np.ndarray, t: np.ndarray, kind: str) -> np.ndarray:
+    """:func:`upstream_derivative` on float64 arrays that have passed its
+    checks (finite, shapes that fit, 0/1 BCE targets); only ``kind`` is checked."""
     n = o.shape[-1]
     if kind in (MSE, POINT_FIDELITY, DISTILL):
         return 2.0 * (o - t) / n
     if kind == BCE:
-        _check_bce_targets(t)
         p = np.clip(o, BCE_CLAMP, 1.0 - BCE_CLAMP)
         return (-t / p + (1.0 - t) / (1.0 - p)) / n
     raise ValueError(f"unknown loss kind {kind!r}")

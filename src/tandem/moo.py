@@ -48,16 +48,21 @@ def solve_alpha(g1, g2) -> AlphaSolution:
     any weight gives the same direction there.
     """
     a, b = _pair(g1, g2)
+    alpha, clipped = _alpha(a, b)
+    norm = float(np.linalg.norm(alpha * a + (1.0 - alpha) * b))
+    return AlphaSolution(alpha=alpha, combined_norm=norm, clipped=clipped)
+
+
+def _alpha(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
+    """:func:`solve_alpha`'s weight and clip flag, with no norm and no checks:
+    the caller passes finite float64 vectors of one shape."""
     diff = a - b
     denom = float(diff @ diff)
     if denom < DEGENERATE_DENOM:
-        alpha, clipped = 0.5, False
-    else:
-        raw = float((b - a) @ b) / denom
-        alpha = float(np.clip(raw, 0.0, 1.0))
-        clipped = raw != alpha
-    norm = float(np.linalg.norm(alpha * a + (1.0 - alpha) * b))
-    return AlphaSolution(alpha=alpha, combined_norm=norm, clipped=clipped)
+        return 0.5, False
+    raw = float((b - a) @ b) / denom
+    alpha = min(max(raw, 0.0), 1.0)
+    return alpha, raw != alpha
 
 
 def _check_alpha(alpha: float) -> None:

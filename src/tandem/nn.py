@@ -48,18 +48,16 @@ def _as_vector(a, name: str) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows, and -|z| is exactly -z for z >= 0 and z below,
+    # so this is 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) bit for bit.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """act(z); ReLU writes into ``z``, which the caller must own."""
     if kind == RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == IDENTITY:
         return z
     if kind == SIGMOID:
@@ -70,7 +68,7 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 def _activation_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     """d act(z) / d z, using the cached post-activation a where it helps."""
     if kind == RELU:
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0
     if kind == IDENTITY:
         return np.ones_like(z)
     if kind == SIGMOID:
@@ -189,11 +187,15 @@ def _forward_cached(params, X: np.ndarray):
     ``params`` holds one (weight, bias, activation) triple per layer, or a
     stack of K networks from :func:`_param_views`, which all take the same
     X (N, d); each row's matmul is its own gemm, so bit-identical to a
-    call with that row alone."""
+    call with that row alone.  A ReLU layer writes its activation into its
+    matmul output, so its cached pre-activation slot holds the activation:
+    the backward pass reads only ``z > 0`` there, and ``max(z, 0) > 0``
+    equals ``z > 0`` for every float, NaN included."""
     a = X
     caches = []
     for weight, bias, activation in params:
-        z = a @ weight.swapaxes(-1, -2) + bias[..., None, :]
+        z = a @ weight.swapaxes(-1, -2)
+        z += bias[..., None, :]
         a_out = _activate(z, activation)
         caches.append((a, z, a_out))
         a = a_out
@@ -332,13 +334,21 @@ def adam_step(params: np.ndarray, grad, state: AdamState, lr: float) -> None:
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
+    # Three temporaries; the operations of lr * m_hat / (sqrt(v_hat) + eps), in order.
+    scaled = np.multiply(1.0 - ADAM_BETA1, grad)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += scaled
+    np.multiply(1.0 - ADAM_BETA2, grad, out=scaled)
+    scaled *= grad
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    v += scaled
+    m_hat = np.divide(m, 1.0 - ADAM_BETA1**t)
+    v_hat = np.divide(v, 1.0 - ADAM_BETA2**t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += ADAM_EPSILON
+    m_hat *= lr
+    m_hat /= v_hat
+    params -= m_hat
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,13 @@ from .losses import (
     DISTILL,
     MSE,
     POINT_FIDELITY,
+    _check_bce_targets,
+    _upstream,
     loss_point_fidelity,
     loss_pred,
-    upstream_derivative,
 )
 from .metrics import _fit_local, f1_score, mse_metric
-from .moo import DEFAULT_STATIONARITY_TOL, _check_alpha, is_pareto_stationary, solve_alpha
+from .moo import DEFAULT_STATIONARITY_TOL, _alpha, _check_alpha, is_pareto_stationary
 from .nn import (
     BINARY_PROBABILITY,
     MlpModel,
@@ -250,7 +251,7 @@ def _step_weight(row: "_Row", g_first: np.ndarray, g_pf: np.ndarray) -> float:
     if row.method.weight == PRED_ONLY:
         return 1.0
     if row.method.weight == MIN_NORM:
-        return solve_alpha(g_first, g_pf).alpha
+        return _alpha(g_first, g_pf)[0]
     if row.method.weight == UNIFORM:
         return float(row.rng_alpha.uniform(0.0, 1.0))
     return row.method.alpha
@@ -333,8 +334,12 @@ def _joint_loop(
             dataset.n_features, shared.hidden, _output_kind(dataset),
             rng_for(shared.seed, "init-theta"),
         )
-    # The teacher never changes: its train-split outputs are computed once.
+    # y and the teacher's outputs never change, so they are checked once, not every step.
     t_all = None if teacher is None else forward_batch(teacher, X)
+    if not (np.isfinite(y).all() and (t_all is None or np.isfinite(t_all).all())):
+        raise NumericError("non-finite loss inputs")
+    if kind == BCE:
+        _check_bce_targets(y)
     theta = np.tile(flatten_params(init_model), (len(configs), 1))
     params = _param_views(init_model, theta)
     phi = np.zeros((len(configs), dataset.n_features + 1))
@@ -358,11 +363,14 @@ def _joint_loop(
     def upstreams(f_out, rows, g_out) -> np.ndarray:
         """The predictive, any distillation and the fidelity upstreams on train
         rows ``rows`` of one forward, stacked on a leading axis for one
-        backward pass: (m, K, N) for a stack, (m, N) for one network."""
-        parts = [upstream_derivative(f_out, y[rows], kind)]
+        backward pass: (m, K, N) for a stack, (m, N) for one network.  Both
+        forwards' outputs are checked here, and only here in a step."""
+        if not (np.isfinite(f_out).all() and np.isfinite(g_out).all()):
+            raise NumericError("non-finite loss inputs")
+        parts = [_upstream(f_out, y[rows], kind)]
         if t_all is not None:
-            parts.append(upstream_derivative(f_out, t_all[rows], DISTILL))
-        parts.append(upstream_derivative(f_out, g_out, POINT_FIDELITY))
+            parts.append(_upstream(f_out, t_all[rows], DISTILL))
+        parts.append(_upstream(f_out, g_out, POINT_FIDELITY))
         return np.stack(parts)
 
     def pair(grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from tandem.moo import (
     is_pareto_stationary,
     solve_alpha,
 )
+from tandem.moo import _alpha
 
 
 def grid_best_alpha(g1, g2, step=1e-4):
@@ -172,3 +173,33 @@ def test_min_norm_direction_descends_on_both_gradients(pair):
            + float(np.linalg.norm(d)) * np.sqrt(DEGENERATE_DENOM))
     assert float(d @ g1) >= float(d @ d) - tol
     assert float(d @ g2) >= float(d @ d) - tol
+
+
+def clipped_alpha(a, b):
+    """The min-norm weight and clip flag clamped by ``np.clip``: the oracle
+    for :func:`tandem.moo._alpha`."""
+    diff = a - b
+    denom = float(diff @ diff)
+    if denom < DEGENERATE_DENOM:
+        return 0.5, False
+    raw = float((b - a) @ b) / denom
+    alpha = float(np.clip(raw, 0.0, 1.0))
+    return alpha, raw != alpha
+
+
+# Finite entries up to 1e300, so the dot products can overflow to inf and
+# the weight to NaN, as they do in a diverging run.
+WIDE_PAIRS = st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.lists(
+    st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from([0.0, -0.0, 1e-300]),
+    min_size=n, max_size=n)] * 2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(WIDE_PAIRS)
+def test_weight_clamp_matches_np_clip_bit_for_bit(pair):
+    g1, g2 = (np.asarray(g, dtype=np.float64) for g in pair)
+    (alpha, clipped), (want_alpha, want_clipped) = _alpha(g1, g2), clipped_alpha(g1, g2)
+    assert clipped == want_clipped
+    # Equal bits, so a -0.0 weight stays -0.0; a NaN weight matches any NaN.
+    assert (np.isnan(alpha) and np.isnan(want_alpha)) or (
+        np.float64(alpha).view(np.int64) == np.float64(want_alpha).view(np.int64))

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import central_diff, reference_adam, reference_adam_init
 from tandem.errors import NumericError, ShapeError
@@ -92,6 +94,72 @@ def test_sigmoid_is_stable_at_extremes():
     assert out[1] == 0.5
     assert 0.0 <= out[0] < 1e-12
     assert 1.0 - 1e-12 < out[2] <= 1.0
+
+
+def masked_sigmoid(z):
+    """Sigmoid split by sign through boolean-mask indexing, one branch per
+    half: the oracle for the dense ``sigmoid``."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_of_integers_is_float():
+    out = sigmoid(np.array([0, 3, -2]))
+    assert out.dtype == np.float64
+    assert np.array_equal(out, masked_sigmoid(np.array([0.0, 3.0, -2.0])))
+
+
+# Signed zeros, infinities, NaN, subnormals and |z| past exp's 745 cut-off.
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+                 -1e-310, 745.2, -745.2, 709.8, -709.8, 1000.0, -1000.0, 1e308, -1e308]
+
+
+@settings(max_examples=300)
+@given(arrays(np.float64, st.integers(0, 40),
+              elements=st.one_of(st.floats(), st.sampled_from(SIGMOID_EDGES))))
+def test_dense_sigmoid_equals_masked_form_bit_for_bit(z):
+    got, want = sigmoid(z), masked_sigmoid(z)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    # Equal int64 views: equal bits, so signs of zero match too.
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def peak_bytes(fn, *args):
+    """Peak of the memory tracemalloc sees, numpy's array data included,
+    during one call of ``fn`` after a warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_holds_its_hidden_activations_and_one_ufunc_buffer_at_most():
+    """A one-run forward over a 1,400-row train split: each ReLU layer
+    writes into its matmul output, so at its peak only the two hidden
+    activations and the buffers of numpy's broadcast bias add (8,192
+    float64, ``np.getbufsize()``) are live, with 2 KB for the ufunc's
+    iterator and the caches."""
+    model = init_mlp(10, (32, 32), BINARY_PROBABILITY, rng_for(0, "init-theta"))
+    params = _param_views(model, flatten_params(model)[None])
+    X = rng_for(0, "x").standard_normal((1400, 10))
+    activations = 2 * 1400 * 32 * 8
+    assert peak_bytes(_forward_cached, params, X) <= activations + 8 * np.getbufsize() + 2048
+
+
+def test_adam_step_makes_at_most_three_full_size_temporaries():
+    params = np.zeros((10, 1441))
+    grad = rng_for(0, "grad").standard_normal(params.shape)
+    state = adam_init(params.shape)
+    # 1 KB covers the Python scalars of one call.
+    assert peak_bytes(adam_step, params, grad, state, 1e-3) <= 3 * grad.nbytes + 1024
 
 
 def test_backward_zero_upstream_gives_zero_gradient():
