@@ -61,6 +61,11 @@ KNOWN_METRICS = tuple(_METRIC_FIELDS)
 PARETO_ALPHAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
+# The type of each GnfSettings field; no number may be a bool.
+_GNF_TYPES = {**dict.fromkeys(("points", "count", "patch_size", "num_patches"), numbers.Integral),
+              "sigma2": numbers.Real, "kind": str, "local": bool}
+
+
 @dataclass(frozen=True)
 class GnfSettings:
     """How the GNF metric is evaluated during an experiment."""
@@ -74,6 +79,10 @@ class GnfSettings:
     local: bool = False
 
     def __post_init__(self) -> None:
+        for name, kind in _GNF_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise DataError(f"gnf {name} has the wrong type: {value!r}")
         if self.points < 1 or self.count < 1:
             raise DataError("gnf points and count must be >= 1")
         if not 0 < self.sigma2 < np.inf:

@@ -374,6 +374,37 @@ def mlp_to_dict(model: MlpModel) -> dict:
     }
 
 
+# The types ``json`` loads a number as; a bool is neither.
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _json_float(value, what: str) -> float:
+    """A checkpoint's number as a float; anything else, a bool included, or
+    an integer too large for a float raises ValueError."""
+    if type(value) not in _JSON_NUMBERS:
+        raise ValueError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
+def _number_array(value, what: str) -> np.ndarray:
+    """A checkpoint's array, a JSON list of numbers or of such lists, as
+    float64; any other entry, a bool or a string included, or an integer
+    too large for a float raises ValueError."""
+    def numbers_only(entries: list) -> bool:
+        types = set(map(type, entries))
+        return types <= _JSON_NUMBERS or (types == {list} and all(map(numbers_only, entries)))
+
+    if not (type(value) is list and numbers_only(value)):
+        raise ValueError(f"{what} must be a list of numbers")
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{what} holds a number too large for a float") from None
+
+
 def mlp_from_dict(record: dict) -> MlpModel:
     if not isinstance(record, dict) or record.get("format") != MLP_FORMAT:
         raise ValueError(f"not a {MLP_FORMAT} record")
@@ -382,7 +413,8 @@ def mlp_from_dict(record: dict) -> MlpModel:
         if not (isinstance(entries, list) and all(isinstance(l, dict) for l in entries)):
             raise ValueError(f"{MLP_FORMAT} layers must be a list of objects")
         layers = tuple(
-            Layer(np.array(l["weight"]), np.array(l["bias"]), l["activation"])
+            Layer(_number_array(l["weight"], f"{MLP_FORMAT} weight"),
+                  _number_array(l["bias"], f"{MLP_FORMAT} bias"), l["activation"])
             for l in entries
         )
         return MlpModel(layers, record["output_kind"])

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError
+from .nn import _json_float, _number_array
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,14 @@ def surrogate_from_dict(record: dict) -> tuple[LinearSurrogate, list[str]]:
     if not isinstance(record, dict) or record.get("format") != SURROGATE_FORMAT:
         raise ValueError(f"not a {SURROGATE_FORMAT} record")
     try:
-        g = LinearSurrogate(np.array(record["coefficients"]), record["bias"])
-        return g, list(record["features"])
+        coefficients = _number_array(record["coefficients"], f"{SURROGATE_FORMAT} coefficients")
+        bias = _json_float(record["bias"], f"{SURROGATE_FORMAT} bias")
+        features = record["features"]
     except KeyError as exc:
         raise ValueError(f"{SURROGATE_FORMAT} record lacks {exc}") from None
+    if not (isinstance(features, list) and all(isinstance(name, str) for name in features)):
+        raise ValueError(f"{SURROGATE_FORMAT} features must be a list of strings")
+    return LinearSurrogate(coefficients, bias), features
 
 
 def load_surrogate(path) -> tuple[LinearSurrogate, list[str]]:

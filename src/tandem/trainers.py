@@ -14,7 +14,8 @@ a method table.
 ``run_methods`` trains a list of runs.  Runs that share a dataset and
 every setting apart from the method and its weight train in lockstep:
 the loop holds their networks and surrogates as stacks, one row per run,
-and every row moves bit for bit as its run would alone.  A stack that
+except that JSEP shares the predictive-only row's network, and every run
+moves bit for bit as it would alone.  A stack that
 raises trains each of its runs again alone, so every run ends with the
 result or the error it has alone.  ``run_method`` is the one-run case.
 
@@ -264,15 +265,17 @@ def _phi_step(phi: np.ndarray, grad: np.ndarray, state, lr: float) -> None:
         raise NumericError("surrogate parameters must be finite")
 
 
-@dataclass
+@dataclass(eq=False)
 class _Row:
     """One run of a lockstep stack: its place in the caller's list, its
-    own weight stream and what it has recorded so far."""
+    own weight stream, what it has recorded so far and, for a rider, the
+    row whose network it shares."""
 
     index: int
     config: TrainConfig
     method: _JointMethod
     rng_alpha: np.random.Generator
+    host: "_Row | None" = None
     pred_hist: list[float] = field(default_factory=list)
     pf_hist: list[float] = field(default_factory=list)
     alpha_hist: list[float] = field(default_factory=list)
@@ -308,10 +311,11 @@ def _joint_loop(
     Every stacked matmul is one gemm per row, so each row is bit-identical
     to a run alone.
 
-    Per epoch, row by row, since a stacked pass over the whole train split
-    holds K times its activations and was not faster: record full-batch
-    losses and, when the row trains its surrogate, stop it if the
-    full-batch gradient pair from that same forward is Pareto stationary.
+    Per epoch, network by network, since a stacked pass over the whole
+    train split holds K times its activations and was not faster: one
+    forward, from which each run on the network records its full-batch
+    losses and, when it trains its surrogate, stops if its full-batch
+    gradient pair from that forward is Pareto stationary.
     That check is screened.  The min-norm over any subset of the gradient
     entries is at most the min-norm over all of them, and the last layer's
     block is one layer's step of the backward pass, bit for bit the tail
@@ -320,7 +324,16 @@ def _joint_loop(
     pass, from the same upstreams, and the exact check run; otherwise the
     check would have returned False.
 
-    A row that stops leaves the stack; the rest go on unchanged.  Any
+    A JSEP run in a stack with a predictive-only (STL) row rides that row,
+    whose network is its own bit for bit: ``theta`` holds one row per
+    network, ``phi`` one per run with the riders last.  Each step a rider's
+    surrogate fits its host's outputs, and one more backward pass of its
+    fidelity upstream through the host's caches gives its ``min_dot_pf``;
+    each epoch it shares its host's full-split forward.  Its network,
+    ``loss_pred`` and weight histories and ``min_dot_pred`` are the host's,
+    read when it stops, while the host trains on.
+
+    A run that stops leaves the stack; the rest go on unchanged.  Any
     error ends the whole stack: the loop raises it, with the message a run
     alone raises at the same check, and :func:`_stage` trains the runs
     again alone.  Returns, in the order of ``configs``, each run's (model,
@@ -340,25 +353,38 @@ def _joint_loop(
         raise NumericError("non-finite loss inputs")
     if kind == BCE:
         _check_bce_targets(y)
-    theta = np.tile(flatten_params(init_model), (len(configs), 1))
+    runs = [_Row(i, c, _joint_method(c), rng_for(c.seed, "alpha"))
+            for i, c in enumerate(configs)]
+    # JSEP's network is the predictive-only row's, bit for bit: it rides that row.
+    host = next((run for run in runs if run.config.method == STL), None)
+    for run in runs:
+        run.host = host if run.config.method == JSEP else None
+    rows = [run for run in runs if run.host is None]
+    riders = [run for run in runs if run.host is not None]
+    theta = np.tile(flatten_params(init_model), (len(rows), 1))
     params = _param_views(init_model, theta)
-    phi = np.zeros((len(configs), dataset.n_features + 1))
+    phi = np.zeros((len(runs), dataset.n_features + 1))
     theta_state = adam_init(theta.size)
     phi_state = adam_init(phi.size)
     rng_batch = rng_for(shared.seed, "batch")
-    rows = [_Row(i, c, _joint_method(c), rng_for(c.seed, "alpha"))
-            for i, c in enumerate(configs)]
     results: list = [None] * len(configs)
-    ended: dict[int, str] = {}
+    ended: dict[_Row, str] = {}
 
-    def masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def masks() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The indices of the rows that keep their surrogate fixed, that
-        follow the predictive gradient alone and that mix in the fidelity's."""
+        follow the predictive gradient alone and that mix in the fidelity's,
+        and the network row of each surrogate row, riders last."""
         pred = np.array([row.method.weight == PRED_ONLY for row in rows], dtype=bool)
         return (np.flatnonzero([not row.method.update_phi for row in rows]),
-                np.flatnonzero(pred), np.flatnonzero(~pred))
+                np.flatnonzero(pred), np.flatnonzero(~pred),
+                np.array([rows.index(run.host or run) for run in rows + riders], dtype=int))
 
-    fixed, pred_only, mixing = masks()
+    fixed, pred_only, mixing, owners = masks()
+
+    def network(k: int, caches=()) -> tuple[list, list]:
+        """Network row k's layers and its caches in a stacked forward's."""
+        return ([(weight[k], bias[k], activation) for weight, bias, activation in params],
+                [(a if a.ndim == 2 else a[k], z[k], a_out[k]) for a, z, a_out in caches])
 
     def upstreams(f_out, rows, g_out) -> np.ndarray:
         """The predictive, any distillation and the fidelity upstreams on train
@@ -378,60 +404,71 @@ def _joint_loop(
         plus any distillation term, and fidelity."""
         return (grads[0] if t_all is None else grads[0] + grads[1]), grads[-1]
 
-    def end_epoch(epoch: int, k: int, row: _Row) -> bool:
-        """Row k's full-split pass: record its losses and mean weight; True
-        when its run is Pareto stationary."""
-        row_params = [(weight[k], bias[k], activation) for weight, bias, activation in params]
-        out, caches = _forward_cached(row_params, X)
-        g_out = _predict_flat(phi[k], X)
-        lp = loss_pred(out, y, kind)
-        lpf = loss_point_fidelity(out, g_out)
-        if not (np.isfinite(lp) and np.isfinite(lpf)):
-            raise NumericError(f"non-finite training loss at epoch {epoch}")
-        row.pred_hist.append(lp)
-        row.pf_hist.append(lpf)
-        row.alpha_hist.append(float(np.mean(row.step_alphas)))
-        if not row.method.update_phi:
-            return False
-        tol = row.config.stationarity_tol
-        u = upstreams(out, slice(None), g_out)
-        return (is_pareto_stationary(*pair(_last_layer_backward(row_params, caches, u)), 2.0 * tol)
-                and is_pareto_stationary(*pair(_backward_cached(row_params, caches, u)), tol))
+    def end_epoch(epoch: int, k: int) -> None:
+        """Network k's full-split pass, shared by the runs on it: record each
+        run's losses and mean weight, and end the runs that are Pareto stationary."""
+        net, _ = network(k)
+        out, caches = _forward_cached(net, X)
+        for row, owner, phi_row in zip(rows + riders, owners, phi):
+            if owner != k:
+                continue
+            g_out = _predict_flat(phi_row, X)
+            # A rider's loss_pred is its host's, recorded just before.
+            lp = loss_pred(out, y, kind) if row.host is None else row.host.pred_hist[-1]
+            lpf = loss_point_fidelity(out, g_out)
+            if not (np.isfinite(lp) and np.isfinite(lpf)):
+                raise NumericError(f"non-finite training loss at epoch {epoch}")
+            if row.host is None:
+                row.pred_hist.append(lp)
+                row.alpha_hist.append(float(np.mean(row.step_alphas)))
+            row.pf_hist.append(lpf)
+            if not row.method.update_phi:
+                continue
+            tol = row.config.stationarity_tol
+            u = upstreams(out, slice(None), g_out)
+            if (is_pareto_stationary(*pair(_last_layer_backward(net, caches, u)), 2.0 * tol)
+                    and is_pareto_stationary(*pair(_backward_cached(net, caches, u)), tol)):
+                ended[row] = STOP_STATIONARY
 
-    def finish(k: int, stopped: str) -> None:
-        """Record row k's run, stopped for the reason ``stopped``."""
-        row = rows[k]
-        model = unflatten_params(init_model, theta[k])
-        g = surrogate_from_params(phi[k])
+    def finish(row: _Row, stopped: str) -> None:
+        """Record a run, stopped for the reason ``stopped``; a rider's network,
+        direction and histories are its host's as they are now."""
+        net = row.host or row
+        model = unflatten_params(init_model, theta[rows.index(net)])
+        g = surrogate_from_params(phi[(rows + riders).index(row)])
         metric, gf = _final_metrics(model, g, dataset)
         results[row.index] = (model, g, TrainReport(
             method=row.config.method,
             seed=row.config.seed,
-            loss_pred_history=tuple(row.pred_hist),
+            loss_pred_history=tuple(net.pred_hist),
             loss_pf_history=tuple(row.pf_hist),
-            alpha_history=tuple(row.alpha_hist),
-            epochs_run=len(row.pred_hist),
+            alpha_history=tuple(net.alpha_hist),
+            epochs_run=len(net.pred_hist),
             stopped_reason=stopped,
             task_metric=metric,
             gf=gf,
-            min_dot_pred=float(row.min_dot_pred),
+            min_dot_pred=float(net.min_dot_pred),
             min_dot_pf=float(row.min_dot_pf),
         ))
 
     def settle() -> None:
-        """Finish the ended rows and drop them from the stack."""
-        nonlocal rows, theta, phi, params, fixed, pred_only, mixing
-        for k, stopped in ended.items():
-            finish(k, stopped)
-        keep = np.array([k not in ended for k in range(len(rows))], dtype=bool)
+        """Finish the ended runs and drop them from the stacks.  A host keeps
+        its surrogate fixed, so it never stops before the budget, and so
+        never before its riders."""
+        nonlocal rows, riders, theta, phi, params, fixed, pred_only, mixing, owners
+        for run, stopped in ended.items():
+            finish(run, stopped)
+        keep_theta = np.array([row not in ended for row in rows], dtype=bool)
+        keep_phi = np.array([run not in ended for run in rows + riders], dtype=bool)
         ended.clear()
-        rows = [row for row, kept in zip(rows, keep) if kept]
-        for state, stack in ((theta_state, theta), (phi_state, phi)):
+        rows = [row for row, kept in zip(rows, keep_theta) if kept]
+        riders = [run for run, kept in zip(riders, keep_phi[len(keep_theta):]) if kept]
+        for state, stack, keep in ((theta_state, theta, keep_theta), (phi_state, phi, keep_phi)):
             state.first_moment = state.first_moment.reshape(stack.shape)[keep].ravel()
             state.second_moment = state.second_moment.reshape(stack.shape)[keep].ravel()
-        theta, phi = theta[keep], phi[keep]
+        theta, phi = theta[keep_theta], phi[keep_phi]
         params = _param_views(init_model, theta)
-        fixed, pred_only, mixing = masks()
+        fixed, pred_only, mixing, owners = masks()
 
     for epoch in range(shared.max_epochs):
         for row in rows:
@@ -439,15 +476,17 @@ def _joint_loop(
         for batch in _batches(rng_batch, X.shape[0], shared.batch_size):
             Xb = X[batch]
             f_out, caches = _forward_cached(params, Xb)
-            if fixed.size < len(rows):
+            if fixed.size < len(owners):
+                # Each surrogate fits its network's output, never differentiated.
+                targets = f_out[owners] if riders else f_out
                 for _ in range(shared.inner_steps):
-                    # The black-box output is the fitting target, never differentiated.
-                    grad = _grad_flat(Xb, f_out - _predict_flat(phi, Xb))
+                    grad = _grad_flat(Xb, targets - _predict_flat(phi, Xb))
                     if fixed.size:
                         # A zero step leaves a fixed surrogate and its moments at zero.
                         grad[fixed] = 0.0
                     _phi_step(phi.reshape(-1), grad.reshape(-1), phi_state, shared.lr_phi)
-            grads = _backward_cached(params, caches, upstreams(f_out, batch, _predict_flat(phi, Xb)))
+            grads = _backward_cached(params, caches,
+                                     upstreams(f_out, batch, _predict_flat(phi[:len(rows)], Xb)))
             g_first, g_pf = pair(grads)
             # A mixing row's gradient pair is the min-norm solver's input.
             if not (np.isfinite(g_first[mixing]).all() and np.isfinite(g_pf[mixing]).all()):
@@ -467,17 +506,24 @@ def _joint_loop(
                 row.min_dot_pred = min(row.min_dot_pred, float(d_row @ a))
                 row.min_dot_pf = min(row.min_dot_pf, float(d_row @ b))
                 row.step_alphas.append(float(alpha))
+            for rider, k, phi_rider in zip(riders, owners[len(rows):], phi[len(rows):]):
+                # The rider's fidelity gradient, through its host's caches.
+                g_rider = _predict_flat(phi_rider, Xb)
+                if not np.isfinite(g_rider).all():
+                    raise NumericError("non-finite loss inputs")
+                u = _upstream(f_out[k], g_rider, POINT_FIDELITY)
+                b = _backward_cached(*network(k, caches), u)
+                rider.min_dot_pf = min(rider.min_dot_pf, float(d[k] @ b))
             adam_step(theta.reshape(-1), d.reshape(-1), theta_state, shared.lr_theta)
             if not np.isfinite(theta).all():
                 raise NumericError("layer parameters must be finite")
-        for k, row in enumerate(rows):
-            if end_epoch(epoch, k, row):
-                ended[k] = STOP_STATIONARY
+        for k in range(len(rows)):
+            end_epoch(epoch, k)
         if ended:
             settle()
         if not rows:
             break
-    ended.update(dict.fromkeys(range(len(rows)), STOP_BUDGET))
+    ended.update(dict.fromkeys(rows + riders, STOP_BUDGET))
     settle()
     return results
 
@@ -628,8 +674,9 @@ def run_methods(dataset: Dataset, configs: list[TrainConfig]) -> list:
     group and train in lockstep, each exactly as it would alone; when the
     stack raises, its runs train again one by one.  STL's
     phase 1 and every JDIST teacher are one predictive-only row of the
-    group's stack; STL then fits its surrogate to that network, and the
-    JDIST runs train as a second stack that starts from it.  LINEAR runs
+    group's stack, which any JSEP run rides; STL then fits its surrogate
+    to that network, and the JDIST runs train as a second stack that
+    starts from it.  LINEAR runs
     its own procedure.
 
     STL, the sequential baseline, runs its predictive-only phase 1 to the

@@ -77,7 +77,7 @@ from tandem.trainers import (
     STL,
     UNI,
     TrainConfig,
-    run_method,
+    run_methods,
 )
 
 SEEDS = (0, 1, 2)
@@ -88,7 +88,8 @@ DATASET = dict(generator="nonlinear", n=2000, d=10, noise=0.5)
 
 @pytest.fixture(scope="session")
 def paired_runs():
-    """Six methods trained at three shared seeds on one synthetic task."""
+    """Six methods trained at three shared seeds on one synthetic task, one
+    ``run_methods`` call per seed: bit for bit the runs alone."""
     start = time.perf_counter()
     datasets = {
         seed: split(
@@ -102,10 +103,12 @@ def paired_runs():
     }
     runs = {}
     for seed in SEEDS:
-        for method in PAIRED_METHODS:
-            config = TrainConfig(method=method, seed=seed, **FROZEN)
-            model, surrogate, report = run_method(datasets[seed], config)
-            runs[(method, seed)] = (model, surrogate, report, config)
+        # One call per seed, as `tandem experiment` trains a grid.
+        configs = [TrainConfig(method=method, seed=seed, **FROZEN) for method in PAIRED_METHODS]
+        for config, result in zip(configs, run_methods(datasets[seed], configs)):
+            if isinstance(result, Exception):
+                raise result
+            runs[(config.method, seed)] = (*result, config)
     return {
         "runs": runs,
         "datasets": datasets,

@@ -224,6 +224,8 @@ def test_pareto_scan_records_bad_config_as_failed_runs(tmp_path, capsys, config,
 BAD_SPECS = {
     "unknown gnf key": ({"gnf": {"pointz": 5}}, "pointz"),
     "zero gnf points": ({"gnf": {"points": 0}}, "points"),
+    "gnf local not a bool": ({"gnf": {"local": "yes"}}, "local"),
+    "gnf points not an integer": ({"gnf": {"points": 3.7}}, "points"),
     "unknown spec key": ({"seedz": [0]}, "seedz"),
     "methods not a list": ({"methods": 5}, "methods"),
     "seeds not a list": ({"seeds": "0"}, "seeds"),
@@ -292,6 +294,10 @@ def explain_input(tmp_path, case):
         path.write_text("[1, 2]")
     elif case == "missing key":
         path.write_text(json.dumps({"format": "tandem-surrogate", "bias": 0.0}))
+    elif case in ("null bias", "features not a list"):
+        record = surrogate_to_dict(LinearSurrogate(np.zeros(2), 0.0), ("a", "b"))
+        broken = {"bias": None} if case == "null bias" else {"features": 5}
+        path.write_text(json.dumps({**record, **broken}))
     elif case == "foreign record":
         path.write_text(json.dumps(mlp_to_dict(MlpModel(
             (Layer(np.ones((1, 2)), np.zeros(1), IDENTITY),), REGRESSION_SCALAR))))
@@ -304,6 +310,8 @@ def explain_input(tmp_path, case):
     ("foreign record", "not a tandem-surrogate record"),
     ("not an object", "not a tandem-surrogate record"),
     ("missing key", "lacks 'coefficients'"),
+    ("null bias", "bias must be a number"),
+    ("features not a list", "features must be a list of strings"),
 ])
 def test_explain_bad_input_reports_failure(tmp_path, capsys, case, message):
     code = main(["explain", "--surrogate", str(explain_input(tmp_path, case))])
@@ -369,6 +377,12 @@ def test_gnf_bad_input_reports_failure(tmp_path, capsys, extra, descriptor, mess
     ({"format": "tandem-mlp", "layers": [1], "output_kind": "x"}, "list of objects"),
     ({"format": "tandem-mlp", "layers": "x", "output_kind": "x"}, "list of objects"),
     ({"format": "tandem-mlp", "layers": None, "output_kind": "x"}, "list of objects"),
+    ({"format": "tandem-mlp", "output_kind": "regression-scalar", "layers": [
+        {"weight": [[True, False, True]], "bias": [0.0], "activation": "identity"}]},
+     "weight must be a list of numbers"),
+    ({"format": "tandem-mlp", "output_kind": "regression-scalar", "layers": [
+        {"weight": [[{}, 0.0, 1.0]], "bias": [0.0], "activation": "identity"}]},
+     "weight must be a list of numbers"),
 ])
 def test_gnf_malformed_model_reports_failure(tmp_path, descriptor_path, capsys,
                                              record, message):

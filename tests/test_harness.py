@@ -512,6 +512,9 @@ def test_experiment_spec_validates_on_construction():
 @pytest.mark.parametrize("bad", [
     {"points": 0}, {"count": 0}, {"sigma2": 0.0}, {"sigma2": -0.1},
     {"kind": "blur"}, {"patch_size": 0}, {"num_patches": 0}, {"sigma2": float("inf")},
+    # Values of the wrong type; a bool is never taken as a number.
+    {"local": "yes"}, {"local": 1}, {"sigma2": True}, {"sigma2": "0.1"}, {"points": 3.7},
+    {"count": True}, {"patch_size": 2.0}, {"num_patches": None}, {"kind": 3},
 ])
 def test_gnf_settings_reject_out_of_range_values(bad):
     with pytest.raises(DataError):

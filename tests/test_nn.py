@@ -393,6 +393,33 @@ def test_model_dict_rejects_unknown_format():
         mlp_from_dict(record)
 
 
+@pytest.mark.parametrize("key", ["weight", "bias"])
+@pytest.mark.parametrize("entry", [True, False, {}, None, "1.0"])
+def test_model_dict_rejects_entries_that_are_not_numbers(key, entry):
+    """JSON true/false are not read as 1.0/0.0, and no other entry reaches numpy."""
+    record = mlp_to_dict(identity_net())
+    values = record["layers"][0][key]
+    if key == "weight":
+        values = values[0]
+    values[0] = entry
+    with pytest.raises(ValueError, match=f"tandem-mlp {key} must be a list of numbers"):
+        mlp_from_dict(record)
+
+
+@pytest.mark.parametrize("weight", [5.0, "[[1.0, 1.0]]", None, {"0": [1.0, 1.0]}])
+def test_model_dict_rejects_a_weight_that_is_not_a_list(weight):
+    record = mlp_to_dict(identity_net())
+    record["layers"][0]["weight"] = weight
+    with pytest.raises(ValueError, match="tandem-mlp weight must be a list of numbers"):
+        mlp_from_dict(record)
+
+
+def test_model_dict_rejects_an_integer_too_large_for_a_float():
+    record = json.loads(json.dumps(mlp_to_dict(identity_net())).replace("0.0", "1" + "0" * 400))
+    with pytest.raises(ValueError, match="tandem-mlp bias holds a number too large"):
+        mlp_from_dict(record)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     input_dim=st.integers(1, 12),

@@ -138,3 +138,24 @@ def test_surrogate_dict_rejects_unknown_format():
     record["format"] = "bogus"
     with pytest.raises(ValueError):
         surrogate_from_dict(record)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("bias", None, "bias must be a number"),
+    ("bias", True, "bias must be a number"),
+    ("bias", "0.5", "bias must be a number"),
+    ("bias", [0.5], "bias must be a number"),
+    ("bias", 10**400, "bias is too large for a float"),
+    ("features", 5, "features must be a list of strings"),
+    ("features", "ab", "features must be a list of strings"),
+    ("features", ["a", 2], "features must be a list of strings"),
+    ("coefficients", [True, 0.0], "coefficients must be a list of numbers"),
+    ("coefficients", [{}, 0.0], "coefficients must be a list of numbers"),
+    ("coefficients", 1.0, "coefficients must be a list of numbers"),
+    ("coefficients", [10**400, 0.0], "coefficients holds a number too large for a float"),
+])
+def test_surrogate_dict_rejects_entries_of_the_wrong_type(key, value, message):
+    record = surrogate_to_dict(init_surrogate(2), ["a", "b"])
+    record[key] = value
+    with pytest.raises(ValueError, match=message):
+        surrogate_from_dict(record)

@@ -3,10 +3,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import tandem
@@ -798,6 +799,71 @@ def test_a_stack_trains_its_runs_again_alone_only_when_it_raises(monkeypatch, gr
     failed = [isinstance(result, Exception) for result in run_methods(ds, configs)]
     assert sizes == stacks
     assert any(failed) == (lr > 1.0) and not all(failed)
+
+
+RIDER_GROUP = (STL, JSEP, JDIST, MOO)
+
+
+def stack_sizes(dataset, configs):
+    """``run_methods`` on ``configs`` and the size of every stack it trained."""
+    sizes = []
+    real = trainers._joint_loop
+    with mock.patch.object(trainers, "_joint_loop", lambda dataset, configs, *rest: (
+            sizes.append(len(configs)) or real(dataset, configs, *rest))):
+        return run_methods(dataset, configs), sizes
+
+
+def assert_ends_as_alone(dataset, config, got):
+    """``got`` is the result, or the error, of ``config``'s run alone."""
+    try:
+        alone = run_method(dataset, config)
+    except Exception as exc:
+        assert f"{type(got).__name__}: {got}" == f"{type(exc).__name__}: {exc}"
+        return
+    model, g, report = got
+    assert np.array_equal(flatten_params(model), flatten_params(alone[0]))
+    assert np.array_equal(surrogate_params(g), surrogate_params(alone[1]))
+    assert report == alone[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    inner_steps=st.sampled_from([1, 2]),
+    data=st.sampled_from(["classification", "regression"]),
+    tol=st.floats(0.05, 1.0),
+)
+def test_jsep_riding_the_predictive_only_row_ends_as_alone(seed, inner_steps, data, tol):
+    """JSEP shares the network of its group's predictive-only row.  At these
+    tolerances it often stops stationary while that row trains on to the
+    budget, and it still ends bit for bit as its run alone."""
+    ds = small_classification_dataset(seed) if data == "classification" else (
+        linear_regression_dataset(seed))
+    configs = [TrainConfig(method=m, seed=seed, **{**LOOP, "max_epochs": 4},
+                           inner_steps=inner_steps, stationarity_tol=tol)
+               for m in RIDER_GROUP]
+    results, sizes = stack_sizes(ds, configs)
+    assert sizes == [3, 1]
+    rider = results[RIDER_GROUP.index(JSEP)]
+    event(f"JSEP stopped {rider[2].stopped_reason} after {rider[2].epochs_run} epochs")
+    assert_ends_as_alone(ds, configs[RIDER_GROUP.index(JSEP)], rider)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("generator", ["nonlinear", "linear_regression"])
+def test_a_diverging_rider_fails_its_stack_and_every_run_ends_as_alone(generator):
+    """At this surrogate step size JSEP's surrogate overflows while STL's,
+    held at zero, does not: the main stack raises, trains its three runs
+    again alone, and every run ends with the result or error it has alone."""
+    ds = tandem.split(tandem.make_synthetic(generator, 300, 5, 0.3, seed=1), seed=1)
+    configs = [TrainConfig(method=m, seed=1, max_epochs=4, batch_size=32, hidden=(8, 4),
+                           lr_theta=3e-3, lr_phi=1e155) for m in RIDER_GROUP]
+    results, sizes = stack_sizes(ds, configs)
+    assert sizes == [3, 1, 1, 1, 1]
+    assert str(results[RIDER_GROUP.index(JSEP)]) == "surrogate parameters must be finite"
+    assert not isinstance(results[RIDER_GROUP.index(STL)], Exception)
+    for config, got in zip(configs, results):
+        assert_ends_as_alone(ds, config, got)
 
 
 def reference_fit_phi(X, targets, config):
