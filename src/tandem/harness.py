@@ -14,6 +14,7 @@ import dataclasses
 import json
 import numbers
 import os
+import pickle
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -421,24 +422,98 @@ def _failure(dataset: str, method: str, seed: int, exc: Exception) -> RunFailure
     return RunFailure(dataset, method, seed, str(exc), type(exc).__name__)
 
 
-def _train_seed(spec: ExperimentSpec, entries, base: dict | None, seed: int,
-                datasets: dict) -> tuple[Dataset | Exception, list[tuple]]:
+def _train_seed(spec: ExperimentSpec, entries, base: dict | None,
+                seed: int) -> tuple[Dataset | Exception, list[tuple]]:
     """One seed's runs: every entry's config built on ``base``, and the
     built ones trained on the seed's dataset in one ``run_methods`` call.
 
     Returns the dataset and, per entry, its (config, result) pair; each
     slot holds the exception its step raised instead, and a dataset that
     cannot be resolved is that exception and every built config's result.
-    ``datasets`` caches the dataset, or its exception, per seed.
+    This is the unit of work ``_train_seeds`` deals to a worker process,
+    so what it returns is pickled there.
     """
     configs = [caught(build_config, entry, base, seed) for entry in entries]
-    if seed not in datasets:
-        datasets[seed] = caught(resolve_dataset, spec.dataset, seed, spec.base_dir)
-    dataset = datasets[seed]
+    dataset = caught(resolve_dataset, spec.dataset, seed, spec.base_dir)
     built = [c for c in configs if not isinstance(c, Exception)]
     results = iter([dataset] * len(built) if isinstance(dataset, Exception)
                    else run_methods(dataset, built))
     return dataset, [(c, c if isinstance(c, Exception) else next(results)) for c in configs]
+
+
+def _worker_count(seeds: int) -> int:
+    """How many processes train ``seeds`` seeds: as many as the usable
+    cores hold at BLAS's threads per process, at most one per seed and at
+    least one.  BLAS's thread count is the first of ``OPENBLAS_NUM_THREADS``
+    and ``OMP_NUM_THREADS`` that is a positive integer, else every usable
+    core, OpenBLAS's own default; so a process whose BLAS already uses
+    every core trains its seeds one after another.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = 1
+    threads = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            threads = value
+            break
+    return max(1, min(seeds, cores // threads))
+
+
+def _train_seeds(spec: ExperimentSpec, entries, base: dict | None) -> list[tuple]:
+    """``_train_seed``'s result for every seed of ``spec``, in seed order.
+
+    The seeds are dealt round-robin to this process and to the other
+    ``_worker_count`` - 1 workers, children made with ``os.fork`` that
+    each pickle their share's results into a pipe.  A share whose child
+    delivers nothing, because the child could not start, failed or died,
+    trains here afterwards, so the results are a serial run's whatever
+    becomes of a child.  Every child is reaped before the call returns or
+    raises.
+    """
+    seeds = spec.seeds
+    workers = _worker_count(len(seeds))
+    shares = [range(w, len(seeds), workers) for w in range(workers)]
+    results: list = [None] * len(seeds)
+    children = []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the share's pipe stays empty
+                pid = None
+            if pid == 0:
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pickle.dump([_train_seed(spec, entries, base, seeds[i])
+                                     for i in share], pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read, share))
+        for i in shares[0]:
+            results[i] = _train_seed(spec, entries, base, seeds[i])
+        for _, read, share in children:
+            try:
+                with open(read, "rb", closefd=False) as pipe:
+                    delivered = pickle.load(pipe)
+            except Exception:  # a short or broken stream: the child failed
+                delivered = [_train_seed(spec, entries, base, seeds[i]) for i in share]
+            for i, result in zip(share, delivered):
+                results[i] = result
+    finally:
+        for pid, read, _ in children:
+            os.close(read)
+            if pid is not None:
+                os.waitpid(pid, 0)
+    return results
 
 
 def run_experiment(
@@ -446,16 +521,16 @@ def run_experiment(
 ) -> tuple[list[ResultRow], list[RunOutcome], list[RunFailure]]:
     """Run the method-by-seed grid and aggregate results.
 
-    Datasets are resolved once per seed and shared by all methods at that
-    seed, and each seed's runs train in one ``run_methods`` call.  A run
-    that raises becomes a RunFailure; the rest continue.  Outcomes,
+    Each seed's dataset is resolved once and shared by all methods at that
+    seed, and each seed's runs train in one ``run_methods`` call; the
+    seeds train in parallel worker processes when the cores allow
+    (``_train_seeds``), with the same results as one after another.  A
+    run that raises becomes a RunFailure; the rest continue.  Outcomes,
     failures and the per-run artifacts (report, model, surrogate, written
     under output_dir/runs) follow the grid method by method.
     """
     name = dataset_name(spec.dataset)
-    datasets: dict = {}
-    seeded = [_train_seed(spec, spec.methods, spec.base_config, seed, datasets)
-              for seed in spec.seeds]
+    seeded = _train_seeds(spec, spec.methods, spec.base_config)
 
     outcomes: list[RunOutcome] = []
     failures: list[RunFailure] = []
@@ -487,7 +562,7 @@ def run_experiment(
         if entry_label not in labels:
             labels.append(entry_label)
 
-    sample = next((d for d in datasets.values() if not isinstance(d, Exception)), None)
+    sample = next((d for d, _ in seeded if not isinstance(d, Exception)), None)
     if sample is None:
         return [], outcomes, failures
     rows = aggregate_rows(name, sample, labels, outcomes, spec.metrics)
@@ -516,8 +591,10 @@ def pareto_scan(
 ) -> tuple[list[ScatterPoint], list[RunFailure]]:
     """Trade-off scan: nine fixed-weight runs plus the min-norm run per seed.
 
-    Every point carries a dominance flag computed within its seed using
-    (task loss, fidelity) pairs, both oriented as losses.
+    Each seed's ten runs train as one stack, and the seeds train as
+    ``run_experiment``'s do (``_train_seeds``).  Every point carries a
+    dominance flag computed within its seed using (task loss, fidelity)
+    pairs, both oriented as losses.
     """
     name = dataset_name(spec.dataset)
     base = dict(spec.base_config or {})
@@ -526,10 +603,7 @@ def pareto_scan(
     entries = [{"method": MOO}] + [{"method": GS, "alpha": a} for a in PARETO_ALPHAS]
     points: list[ScatterPoint] = []
     failures: list[RunFailure] = []
-    datasets: dict = {}
-
-    for seed in spec.seeds:
-        dataset, runs = _train_seed(spec, entries, base, seed, datasets)
+    for seed, (dataset, runs) in zip(spec.seeds, _train_seeds(spec, entries, base)):
         if isinstance(dataset, Exception):
             failures.append(_failure(name, "dataset", seed, dataset))
             continue

@@ -24,12 +24,16 @@ from tandem.data import (
     TRAIN,
     load_csv,
     load_idx,
-    make_synthetic,
     one_hot,
-    split,
     standardize,
 )
-from tandem.harness import GnfSettings, evaluate_gnf, pareto_scan, spec_from_dict
+from tandem.harness import (
+    GnfSettings,
+    _train_seeds,
+    evaluate_gnf,
+    pareto_scan,
+    spec_from_dict,
+)
 from tandem.losses import (
     BCE,
     DISTILL,
@@ -76,8 +80,6 @@ from tandem.trainers import (
     RND,
     STL,
     UNI,
-    TrainConfig,
-    run_methods,
 )
 
 SEEDS = (0, 1, 2)
@@ -89,23 +91,22 @@ DATASET = dict(generator="nonlinear", n=2000, d=10, noise=0.5)
 @pytest.fixture(scope="session")
 def paired_runs():
     """Six methods trained at three shared seeds on one synthetic task, one
-    ``run_methods`` call per seed: bit for bit the runs alone."""
+    ``run_methods`` call per seed, the seeds dealt to worker processes as
+    `tandem experiment` deals them: bit for bit the runs alone."""
     start = time.perf_counter()
-    datasets = {
-        seed: split(
-            make_synthetic(
-                DATASET["generator"], DATASET["n"], DATASET["d"],
-                DATASET["noise"], seed=seed,
-            ),
-            seed=seed,
-        )
-        for seed in SEEDS
-    }
-    runs = {}
-    for seed in SEEDS:
-        # One call per seed, as `tandem experiment` trains a grid.
-        configs = [TrainConfig(method=method, seed=seed, **FROZEN) for method in PAIRED_METHODS]
-        for config, result in zip(configs, run_methods(datasets[seed], configs)):
+    spec = spec_from_dict({
+        "dataset": {"kind": "synthetic", **DATASET},
+        "methods": [{"method": method} for method in PAIRED_METHODS],
+        "seeds": list(SEEDS),
+        "config": {**FROZEN, "hidden": list(FROZEN["hidden"])},
+    })
+    datasets, runs = {}, {}
+    for seed, (dataset, seed_runs) in zip(SEEDS, _train_seeds(spec, spec.methods,
+                                                              spec.base_config)):
+        if isinstance(dataset, Exception):
+            raise dataset
+        datasets[seed] = dataset
+        for config, result in seed_runs:
             if isinstance(result, Exception):
                 raise result
             runs[(config.method, seed)] = (*result, config)

@@ -35,7 +35,8 @@ from tandem.harness import (
     spec_from_dict,
     write_failures,
 )
-from tandem import trainers
+from tandem import harness, trainers
+from tandem.cli import main
 from tandem.moo import dominates
 from tandem.surrogate import init_surrogate
 from tandem.trainers import GS, LINEAR, MOO, STL, TrainConfig
@@ -699,7 +700,9 @@ def test_experiment_stage_failing_at_set_up_fails_only_its_runs(tmp_path, monkey
 
 
 def test_pareto_scan_stage_failing_at_set_up_spares_the_next_seed(tmp_path, monkeypatch):
-    # Seed 0's stack and each of its ten runs, retried alone, fail to set up.
+    # Seed 0's stack and each of its ten runs, retried alone, fail to set up;
+    # one core keeps both seeds, and so every call counted, in this process.
+    _visible_cores(monkeypatch, 1)
     calls = []
     _init_failing(monkeypatch, lambda hidden: calls.append(hidden) or len(calls) <= 11)
     points, failures = pareto_scan(quick_spec(tmp_path, [{"method": MOO}], [0, 1]))
@@ -710,6 +713,7 @@ def test_pareto_scan_stage_failing_at_set_up_spares_the_next_seed(tmp_path, monk
 
 
 def test_pareto_scan_stack_failing_at_set_up_recovers_its_runs_alone(tmp_path, monkeypatch):
+    _visible_cores(monkeypatch, 1)
     spec = quick_spec(tmp_path, [{"method": MOO}], [0, 1])
     clean, _ = pareto_scan(spec)
     calls = []
@@ -719,3 +723,138 @@ def test_pareto_scan_stack_failing_at_set_up_recovers_its_runs_alone(tmp_path, m
     # The failed stack, seed 0's ten runs alone, then seed 1's stack.
     assert len(calls) == 1 + 10 + 1
     assert points == clean
+
+
+def test_pareto_scan_stage_failing_in_this_process_spares_the_forked_seed(tmp_path, monkeypatch):
+    # With two workers seed 0 trains here and seed 1 in a child.
+    _visible_cores(monkeypatch, 2)
+    here = os.getpid()
+    _init_failing(monkeypatch, lambda hidden: os.getpid() == here)
+    points, failures = pareto_scan(quick_spec(tmp_path, [{"method": MOO}], [0, 1]))
+    assert [(f.method, f.seed, f.error_type) for f in failures] == [
+        (MOO, 0, "MemoryError")] + [(f"GS({a / 10:g})", 0, "MemoryError") for a in range(1, 10)]
+    assert [(p.method, p.seed) for p in points] == [(MOO, 1)] + [
+        (f"GS({a / 10:g})", 1) for a in range(1, 10)]
+    _assert_no_children()
+
+
+# -- seeds trained in worker processes -------------------------------------------
+
+
+def _visible_cores(monkeypatch, cores):
+    """Let this process see ``cores`` cores and one BLAS thread, which gives
+    ``min(seeds, cores)`` workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cores, openblas, omp, seeds, workers", [
+    (2, None, None, 1, 1),
+    (2, None, None, 3, 1),  # unset: BLAS takes every core
+    (2, "1", None, 1, 1),
+    (2, "1", None, 2, 2),
+    (2, "1", None, 3, 2),
+    (2, None, "1", 3, 2),
+    (2, "2", None, 3, 1),
+    (2, "2", "1", 3, 1),  # OPENBLAS_NUM_THREADS comes first
+    (4, "2", None, 1, 1),
+    (4, "2", None, 2, 2),
+    (4, "2", None, 3, 2),
+    (4, "1", None, 3, 3),
+    (8, "3", None, 3, 2),
+    (2, "two", None, 3, 1),  # not a positive integer: as if unset
+    (2, "0", None, 3, 1),
+    (2, "-1", None, 3, 1),
+    (2, "two", "1", 3, 2),
+    (4, "8", None, 3, 1),
+    (None, "1", None, 3, 1),  # no affinity call: one core
+])
+def test_worker_count_fills_the_cores_blas_leaves_idle(monkeypatch, cores, openblas, omp,
+                                                       seeds, workers):
+    if cores is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    assert harness._worker_count(seeds) == workers
+
+
+def _grid_outputs(tmp_path, monkeypatch, capfd, command, cores, tag):
+    """Exit status, stdout, stderr and every output file of one ``command``
+    run over four seeds: seed 5 has diverging runs and seed 7's dataset
+    cannot be resolved.  With two workers both train in a child."""
+    def resolve(descriptor, seed, base_dir="."):
+        if seed == 7:
+            descriptor = {"kind": "csv", "path": "absent.csv", "columns": [
+                {"name": "x", "kind": "numeric"}, {"name": "y", "kind": "target"}]}
+        return resolve_dataset(descriptor, seed, base_dir)
+
+    monkeypatch.setattr(harness, "resolve_dataset", resolve)
+    _visible_cores(monkeypatch, cores)
+    out = tmp_path / tag
+    out.mkdir()
+    spec = {**DIVERGING, "seeds": [4, 5, 6, 7], "metrics": ["task", "gf", "gnf"],
+            "methods": [{"method": m} for m in (MOO, STL)] + [
+                {"method": GS, "alpha": 0.9}, {"method": "JDIST"}, {"method": LINEAR}]}
+    (out / "spec.json").write_text(json.dumps(spec))
+    code = main([command, "--spec", str(out / "spec.json"), "--out", str(out / "out")])
+    _assert_no_children()
+    stdout, stderr = capfd.readouterr()
+    root = str(out)
+    files = {str(p.relative_to(out)): p.read_bytes().replace(root.encode(), b"<out>")
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return code, stdout.replace(root, "<out>"), stderr.replace(root, "<out>"), files
+
+
+@pytest.mark.parametrize("command", ["experiment", "pareto-scan"])
+def test_seeds_trained_in_workers_write_the_serial_bytes(tmp_path, monkeypatch, capfd,
+                                                         command):
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    serial = _grid_outputs(tmp_path, monkeypatch, capfd, command, 1, "serial")
+    assert forks == []
+    forked = _grid_outputs(tmp_path, monkeypatch, capfd, command, 2, "forked")
+    assert forks == [1]
+    assert forked == serial
+    code, _, stderr, files = serial
+    assert code > 0
+    assert "NumericError" in stderr and "FileNotFoundError: [Errno 2]" in stderr
+    assert b'"seed": 5' in files["out/failures.json"]
+
+
+def _worker_dies(monkeypatch):
+    here = os.getpid()
+    real = harness._train_seed
+
+    def train_seed(*args):
+        if os.getpid() != here:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_train_seed", train_seed)
+
+
+def _fork_fails(monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("command", ["experiment", "pareto-scan"])
+@pytest.mark.parametrize("fail", [_worker_dies, _fork_fails])
+def test_a_share_whose_worker_delivers_nothing_trains_in_this_process(
+        tmp_path, monkeypatch, capfd, command, fail):
+    serial = _grid_outputs(tmp_path, monkeypatch, capfd, command, 1, "serial")
+    fail(monkeypatch)
+    assert _grid_outputs(tmp_path, monkeypatch, capfd, command, 2, "forked") == serial
