@@ -4,8 +4,11 @@ Subcommands: train one method on one dataset, run a full experiment grid
 from a spec file, scan the fidelity trade-off, dump a saved surrogate's
 feature ranking, and evaluate local-neighborhood fidelity for a saved
 model.  ``experiment`` and ``pareto-scan`` exit with the number of failed
-runs (0 on success); ``train``, ``gnf``, ``explain`` and a spec that
-cannot be loaded exit with 1.
+runs (0 on success).  Any command that cannot finish, say for a spec,
+dataset or checkpoint that cannot be loaded or an output directory that
+cannot be written, prints one line ``<command> failed: <reason>`` to
+stderr (``run failed:`` for ``train``) and exits with 1; a usage error
+exits with 2.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from functools import partial
 
 from .harness import (
     _CONFIG_FIELDS,
-    ExperimentSpec,
     GnfSettings,
     build_config,
     dataset_name,
@@ -36,7 +38,7 @@ from .harness import (
     write_failures,
     write_run_artifacts,
 )
-from .errors import DataError, TandemError
+from .errors import DataError, caught
 from .metrics import GAUSSIAN, PATCH_DELETE
 from .nn import load_mlp
 from .surrogate import explain, load_surrogate
@@ -65,22 +67,17 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
     entry = {key: value for key, value in vars(args).items()
              if key in _CONFIG_FIELDS and value is not None}
     if args.hidden is not None:
-        try:
-            entry["hidden"] = [int(h) for h in args.hidden.split(",")]
-        except ValueError:
-            raise DataError(f"--hidden takes widths such as 32,32, got {args.hidden!r}") from None
+        entry["hidden"] = [caught(int, h) for h in args.hidden.split(",")]
+        if any(isinstance(h, ValueError) for h in entry["hidden"]):
+            raise DataError(f"--hidden takes widths such as 32,32, got {args.hidden!r}")
     return build_config(entry, None, args.seed)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    try:
-        descriptor, base_dir = load_dataset_descriptor(args.dataset)
-        config = _config_from_args(args)
-        dataset = resolve_dataset(descriptor, config.seed, base_dir)
-        model, surrogate, report = run_method(dataset, config)
-    except Exception as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+    descriptor, base_dir = load_dataset_descriptor(args.dataset)
+    config = _config_from_args(args)
+    dataset = resolve_dataset(descriptor, config.seed, base_dir)
+    model, surrogate, report = run_method(dataset, config)
     outcome = RunOutcome(
         method=method_label(config), seed=config.seed,
         model=model, surrogate=surrogate, report=report,
@@ -95,27 +92,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_spec(args: argparse.Namespace) -> ExperimentSpec | None:
-    """The ``--spec`` file with any ``--out`` applied, or None once the
-    reason it cannot be loaded is printed."""
-    try:
-        spec = load_experiment_spec(args.spec)
-    except (TandemError, OSError, ValueError) as exc:
-        print(f"{args.command} failed: {exc}", file=sys.stderr)
-        return None
-    if args.out is not None:
-        spec = dataclasses.replace(spec, output_dir=args.out)
-    return spec
-
-
 def _run_grid(args: argparse.Namespace, run, emit, stem: str, line) -> int:
-    """``experiment`` and ``pareto-scan``: run the spec with ``run``, write
+    """``experiment`` and ``pareto-scan``: load the ``--spec`` file, put
+    any ``--out`` in place of its output_dir, run it with ``run``, write
     its records with ``emit`` to ``<output_dir>/<stem>.<format>``, print
     each as ``line`` gives it and each failure, and return the count of
     failures."""
-    spec = _load_spec(args)
-    if spec is None:
-        return 1
+    spec = load_experiment_spec(args.spec)
+    if args.out is not None:
+        spec = dataclasses.replace(spec, output_dir=args.out)
     records, *_, failures = run(spec)
     os.makedirs(spec.output_dir, exist_ok=True)
     path = os.path.join(spec.output_dir, f"{stem}.{args.format}")
@@ -142,14 +127,10 @@ def _point_line(p) -> str:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    try:
-        if args.top is not None and args.top < 1:
-            raise DataError(f"--top must be at least 1, got {args.top}")
-        surrogate, names = load_surrogate(args.surrogate)
-        importance = explain(surrogate, names)
-    except (TandemError, OSError, ValueError) as exc:
-        print(f"explain failed: {exc}", file=sys.stderr)
-        return 1
+    if args.top is not None and args.top < 1:
+        raise DataError(f"--top must be at least 1, got {args.top}")
+    surrogate, names = load_surrogate(args.surrogate)
+    importance = explain(surrogate, names)
     entries = importance.entries[: args.top]
     if args.format == "json":
         payload = [
@@ -165,19 +146,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_gnf(args: argparse.Namespace) -> int:
-    try:
-        descriptor, base_dir = load_dataset_descriptor(args.dataset)
-        model = load_mlp(args.model)
-        dataset = resolve_dataset(descriptor, args.seed, base_dir)
-        settings = GnfSettings(
-            points=args.points, count=args.count, sigma2=args.sigma2,
-            kind=args.kind, local=args.surrogate is None,
-        )
-        surrogate = None if args.surrogate is None else load_surrogate(args.surrogate)[0]
-        value = evaluate_gnf(model, surrogate, args.seed, dataset, settings)
-    except (TandemError, OSError, ValueError) as exc:
-        print(f"gnf failed: {exc}", file=sys.stderr)
-        return 1
+    descriptor, base_dir = load_dataset_descriptor(args.dataset)
+    model = load_mlp(args.model)
+    dataset = resolve_dataset(descriptor, args.seed, base_dir)
+    settings = GnfSettings(
+        points=args.points, count=args.count, sigma2=args.sigma2,
+        kind=args.kind, local=args.surrogate is None,
+    )
+    surrogate = None if args.surrogate is None else load_surrogate(args.surrogate)[0]
+    value = evaluate_gnf(model, surrogate, args.seed, dataset, settings)
     mode = "global" if args.surrogate is not None else "local"
     print(f"gnf={value:.6g} mode={mode} points={settings.points} "
           f"count={settings.count}")
@@ -239,8 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; an exception it raises becomes its one failure line
+    and exit status 1.  Usage errors and ``--help`` exit inside the parser."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"{'run' if args.command == 'train' else args.command} failed: {exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

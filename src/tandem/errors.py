@@ -27,3 +27,12 @@ def caught(fn, *args):
         return fn(*args)
     except Exception as exc:
         return exc
+
+
+def check_types(values: dict, types: dict, error: type, message: str) -> None:
+    """Raise ``error(message.format(key, value))`` at the first key of ``types``
+    that ``values`` holds with a value of another type; no bool is a number."""
+    for key, kind in types.items():
+        value = values.get(key)
+        if key in values and (not isinstance(value, kind) or isinstance(value, bool) and kind is not bool):
+            raise error(message.format(key, value))

@@ -29,7 +29,7 @@ from .data import (
     make_synthetic,
     split,
 )
-from .errors import DataError, caught
+from .errors import DataError, caught, check_types
 from .metrics import (
     GAUSSIAN,
     PATCH_DELETE,
@@ -80,10 +80,7 @@ class GnfSettings:
     local: bool = False
 
     def __post_init__(self) -> None:
-        for name, kind in _GNF_TYPES.items():
-            value = getattr(self, name)
-            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-                raise DataError(f"gnf {name} has the wrong type: {value!r}")
+        check_types(vars(self), _GNF_TYPES, DataError, "gnf {} has the wrong type: {!r}")
         if self.points < 1 or self.count < 1:
             raise DataError("gnf points and count must be >= 1")
         if not 0 < self.sigma2 < np.inf:
@@ -176,11 +173,10 @@ def spec_from_dict(raw: dict, base_dir: str = ".") -> ExperimentSpec:
         gnf_settings = GnfSettings(**raw.get("gnf", {}))
     except TypeError as exc:
         raise DataError(f"bad gnf settings: {exc}") from None
-    for key, kind, what in (("methods", list, "a list"), ("seeds", list, "a list"),
-                            ("metrics", list, "a list"), ("config", dict, "an object"),
-                            ("output_dir", str, "a string")):
-        if not isinstance(raw.get(key, kind()), kind):
-            raise DataError(f"spec {key} must be {what}")
+    check_types(raw, dict.fromkeys(("methods", "seeds", "metrics"), list), DataError,
+                "spec {} must be a list")
+    check_types(raw, {"config": dict}, DataError, "spec {} must be an object")
+    check_types(raw, {"output_dir": str}, DataError, "spec {} must be a string")
     if not all(isinstance(entry, dict) for entry in raw.get("methods", [])):
         raise DataError("spec methods must be objects")
     if not all(type(seed) is int for seed in raw.get("seeds", [])):
@@ -241,10 +237,8 @@ def resolve_dataset(descriptor: dict, seed: int, base_dir: str = ".") -> Dataset
     missing = [key for key in _DESCRIPTOR_KEYS[kind] if key not in descriptor]
     if missing:
         raise DataError(f"{kind} dataset descriptor lacks {', '.join(map(repr, missing))}")
-    for key, expected in _DESCRIPTOR_TYPES[kind].items():
-        value = descriptor.get(key)
-        if key in descriptor and (isinstance(value, bool) or not isinstance(value, expected)):
-            raise DataError(f"{kind} dataset descriptor key {key!r} has the wrong type: {value!r}")
+    check_types(descriptor, _DESCRIPTOR_TYPES[kind], DataError,
+                kind + " dataset descriptor key {!r} has the wrong type: {!r}")
     if kind == "synthetic":
         dataset = make_synthetic(
             descriptor["generator"],

@@ -21,13 +21,11 @@ LOSS_KINDS = (MSE, BCE, POINT_FIDELITY, DISTILL)
 BCE_CLAMP = 1e-12
 
 
-def _pair(outputs, targets, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Validated float arrays: equal 1-d shapes, or with ``stack`` outputs
-    (K, N) against targets of that shape or one (N,) row shared by all."""
+def _pair(outputs, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Validated float arrays of equal 1-d shapes."""
     o = np.asarray(outputs, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
-    targets_fit = t.shape == o.shape or (stack and t.shape == o.shape[-1:])
-    if o.ndim not in ((1, 2) if stack else (1,)) or not targets_fit:
+    if o.ndim != 1 or t.shape != o.shape:
         raise ShapeError(f"output/target shapes differ: {o.shape} vs {t.shape}")
     if not (np.isfinite(o).all() and np.isfinite(t).all()):
         raise NumericError("non-finite loss inputs")
@@ -69,11 +67,9 @@ def upstream_derivative(outputs, targets, kind: str) -> np.ndarray:
     """Per-example derivative of the batch-mean loss w.r.t. outputs.
 
     For point-fidelity and distillation, ``targets`` holds the other model's
-    outputs and the derivative is taken w.r.t. ``outputs``.  ``outputs``
-    may be a (K, N) stack of batches, each row as its own call, against
-    targets (K, N) or one (N,) row shared by every batch.
+    outputs and the derivative is taken w.r.t. ``outputs``.
     """
-    o, t = _pair(outputs, targets, stack=True)
+    o, t = _pair(outputs, targets)
     if kind == BCE:
         _check_bce_targets(t)
     return _upstream(o, t, kind)

@@ -66,11 +66,9 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _activation_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    """d act(z) / d z, using the cached post-activation a where it helps."""
+    """d act(z) / d z of a ReLU or sigmoid, using the post-activation a where it helps."""
     if kind == RELU:
         return z > 0.0
-    if kind == IDENTITY:
-        return np.ones_like(z)
     if kind == SIGMOID:
         return a * (1.0 - a)
     raise ValueError(f"unknown activation {kind!r}")
@@ -209,7 +207,8 @@ def _layer_backward(layer, cache, delta: np.ndarray) -> tuple[np.ndarray, np.nda
     the gradient at its pre-activation."""
     _, _, activation = layer
     a_prev, z, a_out = cache
-    delta = delta * _activation_grad(z, a_out, activation)
+    if activation != IDENTITY:  # the identity's derivative is 1
+        delta = delta * _activation_grad(z, a_out, activation)
     grad_w = delta.swapaxes(-1, -2) @ a_prev
     return np.concatenate([grad_w.reshape(grad_w.shape[:-2] + (-1,)),
                            delta.sum(axis=-2)], axis=-1), delta

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import CLASSIFICATION, Dataset, TEST, TRAIN, subset
-from .errors import NumericError, caught
+from .errors import NumericError, caught, check_types
 from .losses import (
     BCE,
     DISTILL,
@@ -124,10 +124,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        for name, kind in _NUMBER_FIELDS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise TypeError(f"{name} has the wrong type: {value!r}")
+        check_types(vars(self), _NUMBER_FIELDS, TypeError, "{} has the wrong type: {!r}")
         if not (0.0 < self.lr_theta < np.inf and 0.0 < self.lr_phi < np.inf):
             raise ValueError("learning rates must be positive and finite")
         if min(self.max_epochs, self.batch_size, self.inner_steps, self.phi_max_epochs) < 1:

@@ -75,26 +75,39 @@ def test_train_rejects_a_malformed_hidden_list(tmp_path, descriptor_path, capsys
     assert not (tmp_path / "o").exists()
 
 
-class Dispatched(Exception):
-    """Raised by a stand-in for a package function a handler calls."""
-
-
 def test_handlers_call_the_package_functions_bound_when_they_run(
-        tmp_path, spec_path, descriptor_path, monkeypatch):
+        tmp_path, spec_path, descriptor_path, monkeypatch, capsys):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(mlp_to_dict(MlpModel(
         (Layer(np.ones((1, 3)), np.zeros(1), IDENTITY),), REGRESSION_SCALAR))))
     gnf = ["gnf", "--dataset", descriptor_path, "--model", str(model), "--points", "2"]
     assert main(gnf) == 0
+    capsys.readouterr()
     for name in ("run_experiment", "pareto_scan", "evaluate_gnf"):
         def stand_in(*args, name=name, **kwargs):
-            raise Dispatched(name)
+            raise RuntimeError(name)
         monkeypatch.setattr(tandem.cli, name, stand_in)
     for argv, name in ((["experiment", "--spec", spec_path], "run_experiment"),
                        (["pareto-scan", "--spec", spec_path], "pareto_scan"),
                        (gnf, "evaluate_gnf")):
-        with pytest.raises(Dispatched, match=f"^{name}$"):
-            main(argv)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"{argv[0]} failed: {name}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "experiment", "pareto-scan"])
+def test_an_output_directory_under_a_file_fails_in_one_line(tmp_path, spec_path,
+                                                            descriptor_path, capsys,
+                                                            command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = str(blocker if command == "pareto-scan" else blocker / "x")
+    source = (["--dataset", descriptor_path, "--epochs", "1", "--hidden", "4"]
+              if command == "train" else ["--spec", spec_path])
+    assert main([command, *source, "--out", out]) == 1
+    err = capsys.readouterr().err
+    prefix = "run" if command == "train" else command
+    assert err.startswith(f"{prefix} failed: [Errno ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_train_help_keeps_the_flag_metavars(monkeypatch, capsys):

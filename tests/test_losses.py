@@ -118,6 +118,8 @@ def test_shape_mismatch_rejected():
         loss_pred(np.array([1.0, 2.0]), np.array([1.0]), MSE)
     with pytest.raises(ShapeError):
         loss_point_fidelity(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ShapeError):
+        upstream_derivative(np.zeros((2, 3)), np.zeros((2, 3)), MSE)
 
 
 def test_non_finite_values_rejected():
