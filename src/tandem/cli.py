@@ -7,8 +7,8 @@ model.  ``experiment`` and ``pareto-scan`` exit with the number of failed
 runs (0 on success).  Any command that cannot finish, say for a spec,
 dataset or checkpoint that cannot be loaded or an output directory that
 cannot be written, prints one line ``<command> failed: <reason>`` to
-stderr (``run failed:`` for ``train``) and exits with 1; a usage error
-exits with 2.
+stderr (``run failed:`` for ``train``) and exits with 1; the output
+directory is made before any training.  A usage error exits with 2.
 """
 
 from __future__ import annotations
@@ -77,12 +77,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     descriptor, base_dir = load_dataset_descriptor(args.dataset)
     config = _config_from_args(args)
     dataset = resolve_dataset(descriptor, config.seed, base_dir)
+    os.makedirs(args.out, exist_ok=True)
     model, surrogate, report = run_method(dataset, config)
     outcome = RunOutcome(
         method=method_label(config), seed=config.seed,
         model=model, surrogate=surrogate, report=report,
     )
-    os.makedirs(args.out, exist_ok=True)
     write_run_artifacts(args.out, dataset_name(descriptor), outcome,
                         dataset.feature_names)
     gf = "none" if report.gf is None else f"{report.gf:.6g}"
@@ -94,15 +94,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _run_grid(args: argparse.Namespace, run, emit, stem: str, line) -> int:
     """``experiment`` and ``pareto-scan``: load the ``--spec`` file, put
-    any ``--out`` in place of its output_dir, run it with ``run``, write
-    its records with ``emit`` to ``<output_dir>/<stem>.<format>``, print
-    each as ``line`` gives it and each failure, and return the count of
-    failures."""
+    any ``--out`` in place of its output_dir, make that directory, run the
+    spec with ``run``, write its records with ``emit`` to
+    ``<output_dir>/<stem>.<format>``, print each as ``line`` gives it and
+    each failure, and return the count of failures."""
     spec = load_experiment_spec(args.spec)
     if args.out is not None:
         spec = dataclasses.replace(spec, output_dir=args.out)
-    records, *_, failures = run(spec)
     os.makedirs(spec.output_dir, exist_ok=True)
+    records, *_, failures = run(spec)
     path = os.path.join(spec.output_dir, f"{stem}.{args.format}")
     emit(records, args.format, path)
     for record in records:
@@ -116,9 +116,9 @@ def _run_grid(args: argparse.Namespace, run, emit, stem: str, line) -> int:
     return len(failures)
 
 
-def _row_line(row) -> str:
-    std = "" if row.std is None else f" +- {row.std:.6g}"
-    return f"{row.dataset} {row.method} {row.metric}: {row.mean:.6g}{std}"
+def _row_line(r) -> str:
+    std = "" if r.std is None else f" +- {r.std:.6g}"
+    return f"{r.dataset} {r.method} {r.metric}: {r.mean:.6g}{std}"
 
 
 def _point_line(p) -> str:

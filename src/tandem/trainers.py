@@ -8,8 +8,8 @@ the weighted baselines fix it by schedule; the ablations decouple or
 distill.  Stationarity is checked once per epoch on full-batch gradients,
 screened by an exact lower bound, the min-norm of the last layer's
 gradient block alone: the full backward pass runs only on epochs whose
-bound does not already rule a stop out.  Each joint method is one row of
-a method table.
+bound does not already rule a stop out.  A run's ``config.method`` sets
+its step weight; only GS reads ``alpha``.
 
 ``run_methods`` trains a list of runs.  Runs that share a dataset and
 every setting apart from the method and its weight train in lockstep:
@@ -125,6 +125,9 @@ class TrainConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         check_types(vars(self), _NUMBER_FIELDS, TypeError, "{} has the wrong type: {!r}")
+        if not isinstance(self.hidden, tuple) or any(
+                isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in self.hidden):
+            raise TypeError(f"hidden has the wrong type: {self.hidden!r}")
         if not (0.0 < self.lr_theta < np.inf and 0.0 < self.lr_phi < np.inf):
             raise ValueError("learning rates must be positive and finite")
         if min(self.max_epochs, self.batch_size, self.inner_steps, self.phi_max_epochs) < 1:
@@ -202,57 +205,18 @@ def _final_metrics(
     return task_metric(out, y, dataset.task), loss_point_fidelity(out, predict_batch(g, X))
 
 
-MIN_NORM = "min-norm"
-CONSTANT = "constant"
-UNIFORM = "uniform"
-PRED_ONLY = "pred-only"
-
-
-@dataclass(frozen=True)
-class _JointMethod:
-    """One entry of the method table.
-
-    ``weight`` is the rule for the weight on the predictive gradient:
-    MIN_NORM solves for it each step, CONSTANT uses ``alpha``, UNIFORM
-    draws it fresh each step, PRED_ONLY follows the predictive gradient
-    alone.  Without ``update_phi`` the surrogate stays at zero and the run
-    skips the stationarity check, running to budget.  JDIST's distillation
-    term comes from the teacher its lockstep stage is given.
-    """
-
-    weight: str
-    alpha: float = 0.5
-    update_phi: bool = True
-
-
-_TABLE = {
-    MOO: _JointMethod(MIN_NORM),
-    UNI: _JointMethod(CONSTANT, alpha=0.5),
-    GS: _JointMethod(CONSTANT),
-    RND: _JointMethod(UNIFORM),
-    JSEP: _JointMethod(PRED_ONLY),
-    JDIST: _JointMethod(CONSTANT, alpha=0.5),
-    STL: _JointMethod(PRED_ONLY, update_phi=False),
-}
-
-
-def _joint_method(config: TrainConfig) -> _JointMethod:
-    """The table entry for ``config.method``, with GS's configured weight."""
-    method = _TABLE[config.method]
-    if config.method == GS:
-        return replace(method, alpha=config.alpha)
-    return method
-
-
 def _step_weight(row: "_Row", g_first: np.ndarray, g_pf: np.ndarray) -> float:
-    """This step's weight on the predictive gradient for one row."""
-    if row.method.weight == PRED_ONLY:
+    """This step's weight on the predictive gradient for one row; only GS reads ``alpha``."""
+    method = row.config.method
+    if method in (STL, JSEP):
         return 1.0
-    if row.method.weight == MIN_NORM:
+    if method == MOO:
         return _alpha(g_first, g_pf)[0]
-    if row.method.weight == UNIFORM:
+    if method == RND:
         return float(row.rng_alpha.uniform(0.0, 1.0))
-    return row.method.alpha
+    if method == GS:
+        return row.config.alpha
+    return 0.5
 
 
 def _phi_step(phi: np.ndarray, grad: np.ndarray, state, lr: float) -> None:
@@ -270,7 +234,6 @@ class _Row:
 
     index: int
     config: TrainConfig
-    method: _JointMethod
     rng_alpha: np.random.Generator
     host: "_Row | None" = None
     pred_hist: list[float] = field(default_factory=list)
@@ -350,8 +313,7 @@ def _joint_loop(
         raise NumericError("non-finite loss inputs")
     if kind == BCE:
         _check_bce_targets(y)
-    runs = [_Row(i, c, _joint_method(c), rng_for(c.seed, "alpha"))
-            for i, c in enumerate(configs)]
+    runs = [_Row(i, c, rng_for(c.seed, "alpha")) for i, c in enumerate(configs)]
     # JSEP's network is the predictive-only row's, bit for bit: it rides that row.
     host = next((run for run in runs if run.config.method == STL), None)
     for run in runs:
@@ -368,11 +330,11 @@ def _joint_loop(
     ended: dict[_Row, str] = {}
 
     def masks() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The indices of the rows that keep their surrogate fixed, that
-        follow the predictive gradient alone and that mix in the fidelity's,
-        and the network row of each surrogate row, riders last."""
-        pred = np.array([row.method.weight == PRED_ONLY for row in rows], dtype=bool)
-        return (np.flatnonzero([not row.method.update_phi for row in rows]),
+        """The indices of the rows that keep their surrogate fixed (STL), that
+        follow the predictive gradient alone (STL, JSEP) and that mix in the
+        fidelity's, and the network row of each surrogate row, riders last."""
+        pred = np.array([row.config.method in (STL, JSEP) for row in rows], dtype=bool)
+        return (np.flatnonzero([row.config.method == STL for row in rows]),
                 np.flatnonzero(pred), np.flatnonzero(~pred),
                 np.array([rows.index(run.host or run) for run in rows + riders], dtype=int))
 
@@ -419,7 +381,8 @@ def _joint_loop(
                 row.pred_hist.append(lp)
                 row.alpha_hist.append(float(np.mean(row.step_alphas)))
             row.pf_hist.append(lpf)
-            if not row.method.update_phi:
+            # STL's surrogate stays at zero, so it runs to budget.
+            if row.config.method == STL:
                 continue
             tol = row.config.stationarity_tol
             u = upstreams(out, slice(None), g_out)

@@ -97,7 +97,11 @@ def test_handlers_call_the_package_functions_bound_when_they_run(
 @pytest.mark.parametrize("command", ["train", "experiment", "pareto-scan"])
 def test_an_output_directory_under_a_file_fails_in_one_line(tmp_path, spec_path,
                                                             descriptor_path, capsys,
-                                                            command):
+                                                            monkeypatch, command):
+    """The output directory is made before any training, so nothing trains."""
+    trained = []
+    for name in ("run_method", "run_experiment", "pareto_scan"):
+        monkeypatch.setattr(tandem.cli, name, lambda *args, name=name: trained.append(name))
     blocker = tmp_path / "afile"
     blocker.write_text("")
     out = str(blocker if command == "pareto-scan" else blocker / "x")
@@ -108,6 +112,7 @@ def test_an_output_directory_under_a_file_fails_in_one_line(tmp_path, spec_path,
     prefix = "run" if command == "train" else command
     assert err.startswith(f"{prefix} failed: [Errno ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert trained == []
 
 
 def test_train_help_keeps_the_flag_metavars(monkeypatch, capsys):

@@ -143,6 +143,9 @@ def test_config_rejects_negative_seed_and_bad_sizes():
         with pytest.raises(ValueError, match="hidden"):
             TrainConfig(method=MOO, seed=0, hidden=hidden)
     TrainConfig(method=MOO, seed=0, hidden=())
+    for hidden in ([8], (8.7,), (True,), 8, "8"):
+        with pytest.raises(TypeError, match="hidden has the wrong type"):
+            TrainConfig(method=MOO, seed=0, hidden=hidden)
     for value in (0, -1):
         with pytest.raises(ValueError, match="phi_max_epochs"):
             TrainConfig(method=STL, seed=0, phi_max_epochs=value)
@@ -481,6 +484,12 @@ LOOP = dict(max_epochs=3, batch_size=64, hidden=(16, 8), lr_theta=3e-3, lr_phi=3
     (JSEP, "pred-only", {}),
     (UNI, 0.5, {}),
     (JDIST, "distill", {}),
+    # Only GS reads alpha.
+    (MOO, "min-norm", {"alpha": 0.3}),
+    (UNI, 0.5, {"alpha": 0.3}),
+    (RND, "uniform", {"alpha": 0.3}),
+    (JSEP, "pred-only", {"alpha": 0.3}),
+    (JDIST, "distill", {"alpha": 0.3}),
 ])
 def test_joint_loop_matches_per_call_reference(data, method, rule, extra):
     ds = small_classification_dataset() if data == "classification" else (
