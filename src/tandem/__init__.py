@@ -39,7 +39,6 @@ from .harness import (
     emit_scatter,
     load_experiment_spec,
     pareto_scan,
-    read_report_csv,
     resolve_dataset,
     run_experiment,
 )
@@ -83,7 +82,6 @@ from .surrogate import (
     FeatureImportance,
     LinearSurrogate,
     explain,
-    init_surrogate,
     load_surrogate,
     predict_batch,
     surrogate_grad,

@@ -9,6 +9,8 @@ as test oracles.
 from __future__ import annotations
 
 import csv
+import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -281,16 +283,12 @@ def standardize(
     return replace(dataset, features=std.transform(dataset.features), targets=targets), std
 
 
-def _largest_remainder_counts(n: int, fractions: tuple[float, ...]) -> list[int]:
-    if len(fractions) != len(SPLIT_TAGS) or any(f <= 0 for f in fractions):
-        raise ValueError("fractions must be three positive values")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
-    ideal = [n * f for f in fractions]
+def _largest_remainder_counts(n: int) -> list[int]:
+    ideal = [n * f for f in DEFAULT_FRACTIONS]
     counts = [int(np.floor(v)) for v in ideal]
     remainders = [v - c for v, c in zip(ideal, counts)]
     # ties broken toward the earlier split for determinism
-    order = sorted(range(len(fractions)), key=lambda i: (-remainders[i], i))
+    order = sorted(range(len(ideal)), key=lambda i: (-remainders[i], i))
     for i in range(n - sum(counts)):
         counts[order[i]] += 1
     return counts
@@ -317,20 +315,16 @@ def _interleave_groups(groups: list[np.ndarray], n: int) -> np.ndarray:
     return merged
 
 
-def split(
-    dataset: Dataset,
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-    seed: int = 0,
-) -> Dataset:
+def split(dataset: Dataset, seed: int = 0) -> Dataset:
     """Assign seeded train/val/test tags, stratified by label for classification.
 
-    Global split sizes follow the largest-remainder rule, so the default
-    fractions give exact 70/15/15 counts.  Rows are shuffled within each
-    class and the classes interleaved proportionally before the block cut,
-    keeping per-split class rates within a row or two of the global rate.
+    Global split sizes are 70/15/15 of the rows, rounded by the
+    largest-remainder rule.  Rows are shuffled within each class and the
+    classes interleaved proportionally before the block cut, keeping
+    per-split class rates within a row or two of the global rate.
     """
     n = dataset.n_rows
-    counts = _largest_remainder_counts(n, tuple(fractions))
+    counts = _largest_remainder_counts(n)
     rng = rng_for(seed, "split")
 
     if dataset.task == CLASSIFICATION:
@@ -363,30 +357,31 @@ class ImageData:
     image_dims: tuple[int, int]
 
 
+def _read_idx(path: str, magic: int, ndim: int) -> tuple[list[int], np.ndarray]:
+    """The ``ndim`` big-endian dimensions and the uint8 body of one IDX file
+    whose magic is ``magic``; the body's size must be the dimensions'
+    product, and is checked against the file before it is read."""
+    with open(path, "rb") as fh:
+        found = int.from_bytes(_read_exact(fh, 4, path), "big")
+        if found != magic:
+            raise IdxFormatError(f"{path}: bad magic {found:#010x}")
+        dims = [int.from_bytes(_read_exact(fh, 4, path), "big") for _ in range(ndim)]
+        size = math.prod(dims)  # exact, where np.prod would wrap
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != left:
+            problem = "truncated file" if size > left else "trailing bytes"
+            raise IdxFormatError(f"{path}: {problem}")
+        return dims, np.frombuffer(fh.read(size), dtype=np.uint8)
+
+
 def load_idx(images_path: str, labels_path: str) -> ImageData:
     """Load an IDX image/label file pair.
 
     All header fields are big-endian.  Pixels are scaled to [0,1] by
     dividing by 255 and each image is flattened row-major.
     """
-    with open(images_path, "rb") as fh:
-        magic = int.from_bytes(_read_exact(fh, 4, images_path), "big")
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(f"{images_path}: bad magic {magic:#010x}")
-        n = int.from_bytes(_read_exact(fh, 4, images_path), "big")
-        h = int.from_bytes(_read_exact(fh, 4, images_path), "big")
-        w = int.from_bytes(_read_exact(fh, 4, images_path), "big")
-        raw = np.frombuffer(_read_exact(fh, n * h * w, images_path), dtype=np.uint8)
-        if fh.read(1):
-            raise IdxFormatError(f"{images_path}: trailing bytes")
-    with open(labels_path, "rb") as fh:
-        magic = int.from_bytes(_read_exact(fh, 4, labels_path), "big")
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxFormatError(f"{labels_path}: bad magic {magic:#010x}")
-        n_labels = int.from_bytes(_read_exact(fh, 4, labels_path), "big")
-        labels = np.frombuffer(_read_exact(fh, n_labels, labels_path), dtype=np.uint8)
-        if fh.read(1):
-            raise IdxFormatError(f"{labels_path}: trailing bytes")
+    (n, h, w), raw = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    (n_labels,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if n_labels != n:
         raise IdxFormatError(f"image count {n} does not match label count {n_labels}")
     pixels = raw.reshape(n, h * w).astype(np.float64) / 255.0
@@ -431,11 +426,7 @@ def _parse_target(values: np.ndarray) -> tuple[np.ndarray, str]:
     return numeric, REGRESSION
 
 
-def dataset_from_table(
-    table: Table,
-    seed: int = 0,
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-) -> tuple[Dataset, Standardizer]:
+def dataset_from_table(table: Table, seed: int = 0) -> tuple[Dataset, Standardizer]:
     """One-hot encode, split, and standardize a parsed table.
 
     Continuous columns (and regression targets) are standardized with
@@ -456,7 +447,7 @@ def dataset_from_table(
         feature_names=tuple(c.name for c in feature_specs),
         split=np.asarray([TRAIN] * table.n_rows, dtype=object),
     )
-    dataset = split(dataset, fractions, seed)
+    dataset = split(dataset, seed)
     return standardize(dataset, numeric_names, include_targets=task == REGRESSION)
 
 
@@ -464,10 +455,9 @@ def dataset_from_csv(
     path: str,
     schema: list[ColumnSpec] | tuple[ColumnSpec, ...],
     seed: int = 0,
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
 ) -> tuple[Dataset, Standardizer]:
     """Load, encode, split, and standardize a CSV file in one step."""
-    return dataset_from_table(load_csv(path, schema), seed, fractions)
+    return dataset_from_table(load_csv(path, schema), seed)
 
 
 LINEAR_REGRESSION = "linear_regression"
@@ -494,33 +484,26 @@ def make_synthetic(kind: str, n: int, d: int, noise: float, seed: int) -> Datase
         raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
     rng = rng_for(seed, "synthetic")
     X = rng.standard_normal((n, d))
-    names = tuple(f"x{i}" for i in range(d))
-    tags = np.asarray([TRAIN] * n, dtype=object)
-
     if kind == LINEAR_REGRESSION:
         w = rng.standard_normal(d)
         b = float(rng.standard_normal())
         y = X @ w + b + noise * rng.standard_normal(n)
-        return Dataset(
-            features=X, targets=y, task=REGRESSION, feature_names=names,
-            split=tags, meta={"weights": w, "bias": b},
-        )
-    if kind == LINEAR_LOGIT:
+        task, meta = REGRESSION, {"weights": w, "bias": b}
+    elif kind == LINEAR_LOGIT:
         w = rng.standard_normal(d)
         scores = X @ w
         b = -float(np.median(scores))
         y = (scores + b + noise * rng.standard_normal(n) > 0.0).astype(np.float64)
-        return Dataset(
-            features=X, targets=y, task=CLASSIFICATION, feature_names=names,
-            split=tags, meta={"weights": w, "bias": b},
-        )
-    from .nn import REGRESSION_SCALAR, forward_batch, init_mlp
+        task, meta = CLASSIFICATION, {"weights": w, "bias": b}
+    else:
+        from .nn import REGRESSION_SCALAR, forward_batch, init_mlp
 
-    teacher = init_mlp(d, (16,), REGRESSION_SCALAR, rng)
-    scores = forward_batch(teacher, X)
-    threshold = float(np.median(scores))
-    y = (scores + noise * rng.standard_normal(n) > threshold).astype(np.float64)
+        teacher = init_mlp(d, (16,), REGRESSION_SCALAR, rng)
+        scores = forward_batch(teacher, X)
+        threshold = float(np.median(scores))
+        y = (scores + noise * rng.standard_normal(n) > threshold).astype(np.float64)
+        task, meta = CLASSIFICATION, {"teacher": teacher, "threshold": threshold}
     return Dataset(
-        features=X, targets=y, task=CLASSIFICATION, feature_names=names,
-        split=tags, meta={"teacher": teacher, "threshold": threshold},
+        features=X, targets=y, task=task, feature_names=tuple(f"x{i}" for i in range(d)),
+        split=np.asarray([TRAIN] * n, dtype=object), meta=meta,
     )

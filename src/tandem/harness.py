@@ -193,18 +193,20 @@ def spec_from_dict(raw: dict, base_dir: str = ".") -> ExperimentSpec:
     )
 
 
+def _read_json(path: str) -> tuple[object, str]:
+    """A JSON file's value and the directory its relative paths resolve against."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh), os.path.dirname(path) or "."
+
+
 def load_experiment_spec(path: str) -> ExperimentSpec:
     """Read a JSON experiment spec; relative paths resolve against it."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return spec_from_dict(raw, os.path.dirname(path) or ".")
+    return spec_from_dict(*_read_json(path))
 
 
 def load_dataset_descriptor(path: str) -> tuple[dict, str]:
     """Read a JSON dataset descriptor, returning it with its directory."""
-    with open(path, encoding="utf-8") as fh:
-        descriptor = json.load(fh)
-    return descriptor, os.path.dirname(path) or "."
+    return _read_json(path)
 
 
 _DESCRIPTOR_KEYS = {"synthetic": ("generator", "n", "d"), "csv": ("path", "columns"),
@@ -631,9 +633,6 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.6g}"
 
 
-REPORT_COLUMNS = tuple(f.name for f in fields(ResultRow))
-
-
 def _write_csv(path: str, header: tuple[str, ...], records) -> None:
     """One header line, then one line per record; fields are quoted only
     when they hold a comma, a quote or a line break."""
@@ -679,24 +678,6 @@ def emit_report(rows: list[ResultRow], fmt: str, path: str) -> None:
     significant digits; an empty table still gets the CSV header.
     """
     _emit(rows, ResultRow, RESULTS_SCHEMA, "rows", fmt, path)
-
-
-def read_report_csv(path: str) -> list[ResultRow]:
-    """Parse a CSV report back into rows (inverse of emit_report)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        records = [record for record in csv.reader(fh) if record]
-    if not records or tuple(records[0]) != REPORT_COLUMNS:
-        raise DataError(f"{path}: not a results CSV")
-    rows = []
-    for record in records[1:]:
-        if len(record) != len(REPORT_COLUMNS):
-            raise DataError(f"{path}: row {record} needs {len(REPORT_COLUMNS)} fields")
-        dataset, method, metric, mean, std = record
-        rows.append(ResultRow(
-            dataset=dataset, method=method, metric=metric,
-            mean=float(mean), std=None if std == "" else float(std),
-        ))
-    return rows
 
 
 def emit_scatter(points: list[ScatterPoint], fmt: str, path: str) -> None:

@@ -35,12 +35,6 @@ class LinearSurrogate:
         return self.phi.shape[0]
 
 
-def init_surrogate(n_features: int) -> LinearSurrogate:
-    """Zero-initialised surrogate; its fitting problem is convex so the start
-    point only affects the trajectory, not the optimum."""
-    return LinearSurrogate(np.zeros(int(n_features)), 0.0)
-
-
 def _predict_flat(params: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Surrogate outputs from the flat (phi, bias) vector, or from a stack
     (K, d+1) for batches (K, N, d), each row as its own call; not validated."""
@@ -55,11 +49,15 @@ def _grad_flat(X: np.ndarray, r: np.ndarray) -> np.ndarray:
         [coef, r.sum(axis=-1, keepdims=True)], axis=-1)
 
 
-def predict_batch(g: LinearSurrogate, X) -> np.ndarray:
+def _checked_batch(g: LinearSurrogate, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != g.n_features:
         raise ShapeError(f"batch shape {X.shape} incompatible with d={g.n_features}")
-    return X @ g.phi + g.bias
+    return X
+
+
+def predict_batch(g: LinearSurrogate, X) -> np.ndarray:
+    return _checked_batch(g, X) @ g.phi + g.bias
 
 
 def surrogate_grad(g: LinearSurrogate, X, residuals) -> np.ndarray:
@@ -68,10 +66,8 @@ def surrogate_grad(g: LinearSurrogate, X, residuals) -> np.ndarray:
     residuals[i] = f(x_i) - g(x_i); the loss is mean(residuals^2), so the
     gradient is -(2/N) * sum_i r_i * (x_i, 1).
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _checked_batch(g, X)
     r = np.asarray(residuals, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != g.n_features:
-        raise ShapeError(f"batch shape {X.shape} incompatible with d={g.n_features}")
     if r.shape != (X.shape[0],):
         raise ShapeError(f"residuals length {r.shape} != batch rows {X.shape[0]}")
     return _grad_flat(X, r)
@@ -93,11 +89,16 @@ class FeatureImportance:
     entries: tuple[tuple[str, float, int], ...]
 
 
-def explain(g: LinearSurrogate, feature_names) -> FeatureImportance:
-    """Rank features by |coefficient| descending; ties break by feature index."""
+def _checked_names(g: LinearSurrogate, feature_names) -> list[str]:
     names = list(feature_names)
     if len(names) != g.n_features:
         raise ShapeError(f"{len(names)} names for {g.n_features} coefficients")
+    return names
+
+
+def explain(g: LinearSurrogate, feature_names) -> FeatureImportance:
+    """Rank features by |coefficient| descending; ties break by feature index."""
+    names = _checked_names(g, feature_names)
     order = sorted(range(len(names)), key=lambda i: (-abs(g.phi[i]), i))
     entries = tuple(
         (names[i], float(g.phi[i]), rank + 1) for rank, i in enumerate(order)
@@ -110,13 +111,10 @@ SURROGATE_FORMAT_VERSION = 1
 
 
 def surrogate_to_dict(g: LinearSurrogate, feature_names) -> dict:
-    names = list(feature_names)
-    if len(names) != g.n_features:
-        raise ShapeError(f"{len(names)} names for {g.n_features} coefficients")
     return {
         "format": SURROGATE_FORMAT,
         "version": SURROGATE_FORMAT_VERSION,
-        "features": names,
+        "features": _checked_names(g, feature_names),
         "coefficients": g.phi.tolist(),
         "bias": g.bias,
     }

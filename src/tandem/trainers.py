@@ -297,7 +297,7 @@ def _joint_loop(
     error ends the whole stack: the loop raises it, with the message a run
     alone raises at the same check, and :func:`_stage` trains the runs
     again alone.  Returns, in the order of ``configs``, each run's (model,
-    surrogate, report), tagged with its ``config.method``.
+    surrogate, report).
     """
     X, y = subset(dataset, TRAIN)
     kind = _pred_kind(dataset)
@@ -441,9 +441,8 @@ def _joint_loop(
                 targets = f_out[owners] if riders else f_out
                 for _ in range(shared.inner_steps):
                     grad = _grad_flat(Xb, targets - _predict_flat(phi, Xb))
-                    if fixed.size:
-                        # A zero step leaves a fixed surrogate and its moments at zero.
-                        grad[fixed] = 0.0
+                    # A zero step leaves a fixed surrogate and its moments at zero.
+                    grad[fixed] = 0.0
                     _phi_step(phi.reshape(-1), grad.reshape(-1), phi_state, shared.lr_phi)
             grads = _backward_cached(params, caches,
                                      upstreams(f_out, batch, _predict_flat(phi[:len(rows)], Xb)))
@@ -517,17 +516,16 @@ def _fit_stl_surrogate(dataset: Dataset, config: TrainConfig, pred_run: tuple
                        ) -> tuple[MlpModel, LinearSurrogate, TrainReport]:
     """STL's phase 2 on its phase 1, the predictive-only run ``pred_run``."""
     model, _, phase1 = pred_run
-    X, y = subset(dataset, TRAIN)
-    outputs = forward_batch(model, X)
+    X, _ = subset(dataset, TRAIN)
     pf_hist: list[float] = []
-    params, stopped = _fit_phi(X, outputs, config, pf_hist)
+    params, stopped = _fit_phi(X, forward_batch(model, X), config, pf_hist)
     g = surrogate_from_params(params)
-    final_pred = loss_pred(outputs, y, _pred_kind(dataset))
     metric, gf = _final_metrics(model, g, dataset)
     report = TrainReport(
         method=STL,
         seed=config.seed,
-        loss_pred_history=phase1.loss_pred_history + (final_pred,) * len(pf_hist),
+        # Phase 1's last loss is this network's on these rows, bit for bit.
+        loss_pred_history=phase1.loss_pred_history + phase1.loss_pred_history[-1:] * len(pf_hist),
         loss_pf_history=phase1.loss_pf_history + tuple(pf_hist),
         alpha_history=phase1.alpha_history + (0.0,) * len(pf_hist),
         epochs_run=phase1.epochs_run + len(pf_hist),

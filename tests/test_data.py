@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tandem.data import (
     CATEGORICAL,
     CLASSIFICATION,
-    DEFAULT_FRACTIONS,
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
     LINEAR_LOGIT,
@@ -290,7 +289,7 @@ def greedy_split_tags(dataset, seed):
     order = greedy_interleave([list(rng.permutation(g)) for g in groups], n)
     tags = np.empty(n, dtype=object)
     start = 0
-    for tag, count in zip(SPLIT_TAGS, _largest_remainder_counts(n, DEFAULT_FRACTIONS)):
+    for tag, count in zip(SPLIT_TAGS, _largest_remainder_counts(n)):
         for i in order[start:start + count]:
             tags[i] = tag
         start += count
@@ -335,14 +334,6 @@ def test_interleave_rejects_more_than_two_groups():
 def test_split_tags_equal_greedy_split(kind, seed, n):
     ds = make_synthetic(kind, n, 3, 0.5, seed=seed)
     assert split(ds, seed=seed).split.tolist() == greedy_split_tags(ds, seed).tolist()
-
-
-def test_split_rejects_bad_fractions():
-    ds = plain_dataset([[1.0], [2.0]], [0.0, 0.0], REGRESSION)
-    with pytest.raises(ValueError):
-        split(ds, fractions=(0.5, 0.2, 0.2), seed=0)
-    with pytest.raises(ValueError):
-        split(ds, fractions=(0.8, -0.1, 0.3), seed=0)
 
 
 # -- synthetic generators -----------------------------------------------------
@@ -508,6 +499,18 @@ def test_load_idx_rejects_truncated_file(tmp_path):
         fh.write(b"\x00")
     with pytest.raises(IdxFormatError, match="truncated"):
         load_idx(str(images_path), str(labels_path))
+
+
+@pytest.mark.parametrize("count", [60000, 2**32 - 1])
+def test_load_idx_rejects_a_header_larger_than_the_file(tmp_path, count):
+    """An images header that claims count**3 pixels over a 10-byte body is
+    rejected as truncated before any read is sized by it."""
+    images_path, labels_path = write_idx_pair(tmp_path, [0] * 10, [0], 10, 1)
+    with open(images_path, "r+b") as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, count, count))
+    with pytest.raises(IdxFormatError) as raised:
+        load_idx(images_path, labels_path)
+    assert str(raised.value) == f"{images_path}: truncated file"
 
 
 def test_binarize_label_indicator(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -29,7 +30,6 @@ from tandem.harness import (
     load_experiment_spec,
     method_label,
     pareto_scan,
-    read_report_csv,
     resolve_dataset,
     run_experiment,
     spec_from_dict,
@@ -38,7 +38,7 @@ from tandem.harness import (
 from tandem import harness, trainers
 from tandem.cli import main
 from tandem.moo import dominates
-from tandem.surrogate import init_surrogate
+from tandem.surrogate import LinearSurrogate
 from tandem.trainers import GS, LINEAR, MOO, STL, TrainConfig
 
 SYNTH = {"kind": "synthetic", "generator": "nonlinear", "n": 80, "d": 3,
@@ -328,7 +328,7 @@ def test_gnf_metric_attaches_to_reports(tmp_path):
 
 def test_evaluate_gnf_absent_without_black_box():
     dataset = resolve_dataset(SYNTH, seed=0)
-    value = evaluate_gnf(None, init_surrogate(3), 0, dataset, GnfSettings())
+    value = evaluate_gnf(None, LinearSurrogate(np.zeros(3), 0.0), 0, dataset, GnfSettings())
     assert value is None
 
 
@@ -411,15 +411,6 @@ def test_fixture_table_emits_byte_exact_csv(tmp_path):
     assert path.read_bytes() == GOLDEN_CSV.encode()
 
 
-def test_csv_parse_emit_round_trip_is_identical(tmp_path):
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
-    emit_report(GOLDEN_ROWS, "csv", str(first))
-    rows = read_report_csv(str(first))
-    emit_report(rows, "csv", str(second))
-    assert first.read_bytes() == second.read_bytes()
-
-
 def test_json_report_is_schema_versioned(tmp_path):
     path = tmp_path / "results.json"
     emit_report(GOLDEN_ROWS, "json", str(path))
@@ -436,16 +427,6 @@ def test_json_report_is_schema_versioned(tmp_path):
 def test_unknown_report_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         emit_report([], "yaml", str(tmp_path / "x"))
-
-
-def test_read_report_rejects_foreign_csv(tmp_path):
-    path = tmp_path / "foreign.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(DataError):
-        read_report_csv(str(path))
-    path.write_text("dataset,method,metric,mean,std\nadult,MOO,f1,0.5\n")
-    with pytest.raises(DataError, match="needs 5 fields"):
-        read_report_csv(str(path))
 
 
 def test_scatter_emission_round_trips_schema(tmp_path, scan):
@@ -580,6 +561,12 @@ LABELS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 VALUES = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
+def csv_cells(path) -> list[list[str]]:
+    """Every record of a CSV file as the standard library parses it."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
 @given(st.lists(st.tuples(LABELS, LABELS, st.sampled_from(["f1", "mse", "gf", "gnf"]),
                           VALUES, st.none() | VALUES), max_size=6))
 def test_report_csv_round_trips_arbitrary_labels(records):
@@ -587,10 +574,10 @@ def test_report_csv_round_trips_arbitrary_labels(records):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "results.csv")
         emit_report(rows, "csv", path)
-        parsed = read_report_csv(path)
-    assert parsed == [
-        ResultRow(row.dataset, row.method, row.metric, float(f"{row.mean:.6g}"),
-                  None if row.std is None else float(f"{row.std:.6g}"))
+        cells = csv_cells(path)
+    assert cells == [["dataset", "method", "metric", "mean", "std"]] + [
+        [row.dataset, row.method, row.metric, f"{row.mean:.6g}",
+         "" if row.std is None else f"{row.std:.6g}"]
         for row in rows
     ]
 
@@ -605,7 +592,8 @@ def test_report_csv_quotes_labels_that_need_it(tmp_path):
         b'"a\rb","MOO","f1","0.25","0.125"',
         b"",
     ]
-    assert read_report_csv(str(path)) == rows
+    assert csv_cells(path)[1:] == [["adult, v2", 'GS "0.3"', "f1", "0.5", ""],
+                                   ["a\rb", "MOO", "f1", "0.25", "0.125"]]
 
 
 # -- a diverging run among healthy ones ----------------------------------------

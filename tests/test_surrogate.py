@@ -10,7 +10,6 @@ from tandem.errors import ShapeError
 from tandem.surrogate import (
     LinearSurrogate,
     explain,
-    init_surrogate,
     load_surrogate,
     predict_batch,
     surrogate_from_dict,
@@ -50,13 +49,6 @@ def test_predict_batch_matches_rowwise_predict(rng):
         assert outs[i] == pytest.approx(predict_batch(g, X[i:i + 1])[0], abs=1e-15)
 
 
-def test_init_surrogate_is_all_zero():
-    g = init_surrogate(5)
-    assert np.all(g.phi == 0.0)
-    assert g.bias == 0.0
-    assert g.n_features == 5
-
-
 def test_grad_zero_residuals_is_zero(rng):
     g = LinearSurrogate(rng.standard_normal(3), 0.1)
     X = rng.standard_normal((4, 3))
@@ -64,7 +56,7 @@ def test_grad_zero_residuals_is_zero(rng):
 
 
 def test_grad_single_example_analytic_form():
-    g = init_surrogate(2)
+    g = LinearSurrogate(np.zeros(2), 0.0)
     r = 0.8
     grad = surrogate_grad(g, np.array([[1.0, 0.0]]), np.array([r]))
     assert np.allclose(grad, np.array([-2.0 * r, 0.0, -2.0 * r]), atol=1e-12)
@@ -85,7 +77,7 @@ def test_grad_matches_finite_differences_on_fit_loss(rng):
 
 
 def test_grad_rejects_mismatched_residuals():
-    g = init_surrogate(2)
+    g = LinearSurrogate(np.zeros(2), 0.0)
     with pytest.raises(ShapeError):
         surrogate_grad(g, np.zeros((3, 2)), np.zeros(4))
 
@@ -120,7 +112,7 @@ def test_explain_matches_brute_force_sort(rng):
 
 def test_explain_rejects_wrong_name_count():
     with pytest.raises(ShapeError):
-        explain(init_surrogate(3), ["only", "two"])
+        explain(LinearSurrogate(np.zeros(3), 0.0), ["only", "two"])
 
 
 def test_surrogate_file_round_trip(tmp_path):
@@ -134,7 +126,7 @@ def test_surrogate_file_round_trip(tmp_path):
 
 
 def test_surrogate_dict_rejects_unknown_format():
-    record = surrogate_to_dict(init_surrogate(2), ["a", "b"])
+    record = surrogate_to_dict(LinearSurrogate(np.zeros(2), 0.0), ["a", "b"])
     record["format"] = "bogus"
     with pytest.raises(ValueError):
         surrogate_from_dict(record)
@@ -155,7 +147,7 @@ def test_surrogate_dict_rejects_unknown_format():
     ("coefficients", [10**400, 0.0], "coefficients holds a number too large for a float"),
 ])
 def test_surrogate_dict_rejects_entries_of_the_wrong_type(key, value, message):
-    record = surrogate_to_dict(init_surrogate(2), ["a", "b"])
+    record = surrogate_to_dict(LinearSurrogate(np.zeros(2), 0.0), ["a", "b"])
     record[key] = value
     with pytest.raises(ValueError, match=message):
         surrogate_from_dict(record)

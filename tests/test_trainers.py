@@ -54,7 +54,6 @@ from tandem.seeding import rng_for
 from tandem.surrogate import (
     LinearSurrogate,
     _predict_flat,
-    init_surrogate,
     predict_batch,
     surrogate_from_params,
     surrogate_grad,
@@ -271,12 +270,16 @@ def test_stl_is_deterministic():
 def test_stl_histories_cover_both_phases():
     ds = small_classification_dataset()
     cfg = TrainConfig(method=STL, seed=0, **SMALL)
-    _, _, report = run_method(ds, cfg)
+    model, _, report = run_method(ds, cfg)
     assert report.epochs_run == len(report.loss_pred_history)
     assert report.epochs_run > cfg.max_epochs
     # phase 1 keeps the full predictive weight, phase 2 freezes the black-box
     assert report.alpha_history[0] == 1.0
     assert report.alpha_history[-1] == 0.0
+    # each phase-2 loss is the frozen network's on the train split, bit for bit
+    X_train, y_train = subset(ds, TRAIN)
+    final_pred = loss_pred(forward_batch(model, X_train), y_train, BCE)
+    assert all(lp == final_pred for lp in report.loss_pred_history[cfg.max_epochs:])
 
 
 # -- scalarized baselines ------------------------------------------------------
@@ -392,7 +395,7 @@ def reference_joint_loop(dataset, config, rule, init_model=None, teacher=None,
                 else REGRESSION_SCALAR)
     model = init_model or init_mlp(dataset.n_features, config.hidden, out_kind,
                                    rng_for(config.seed, "init-theta"))
-    g = init_surrogate(dataset.n_features)
+    g = LinearSurrogate(np.zeros(dataset.n_features), 0.0)
     theta_state = reference_adam_init(param_count(model))
     phi_state = reference_adam_init(dataset.n_features + 1)
     rng_batch = rng_for(config.seed, "batch")
@@ -878,7 +881,7 @@ def test_a_diverging_rider_fails_its_stack_and_every_run_ends_as_alone(generator
 def reference_fit_phi(X, targets, config):
     """Full-batch surrogate fit from zero with the public per-call API:
     returns the surrogate, the per-epoch losses and the stop reason."""
-    g = init_surrogate(X.shape[1])
+    g = LinearSurrogate(np.zeros(X.shape[1]), 0.0)
     state = reference_adam_init(X.shape[1] + 1)
     history = []
     prev = float(np.mean((targets - predict_batch(g, X)) ** 2))
@@ -924,7 +927,7 @@ def reference_train_linear(dataset, config):
     X, y = subset(dataset, TRAIN)
     classification = dataset.task == CLASSIFICATION
     kind = BCE if classification else MSE
-    g = init_surrogate(X.shape[1])
+    g = LinearSurrogate(np.zeros(X.shape[1]), 0.0)
     state = reference_adam_init(X.shape[1] + 1)
     rng_batch = rng_for(config.seed, "batch")
     history = []
