@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import numbers
 import os
 import pickle
+import sys
+import warnings
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -42,7 +45,10 @@ from .nn import MlpModel, mlp_to_dict
 from .surrogate import LinearSurrogate, surrogate_params, surrogate_to_dict
 from .trainers import (
     GS,
+    JDIST,
+    JSEP,
     MOO,
+    STL,
     TrainConfig,
     TrainReport,
     _eval_rows,
@@ -420,14 +426,15 @@ def _failure(dataset: str, method: str, seed: int, exc: Exception) -> RunFailure
 
 def _train_seed(spec: ExperimentSpec, entries, base: dict | None,
                 seed: int) -> tuple[Dataset | Exception, list[tuple]]:
-    """One seed's runs: every entry's config built on ``base``, and the
-    built ones trained on the seed's dataset in one ``run_methods`` call.
+    """One slice of a seed's runs: every entry's config built on ``base``,
+    and the built ones trained on the seed's dataset in one ``run_methods``
+    call.
 
     Returns the dataset and, per entry, its (config, result) pair; each
     slot holds the exception its step raised instead, and a dataset that
     cannot be resolved is that exception and every built config's result.
-    This is the unit of work ``_train_seeds`` deals to a worker process,
-    so what it returns is pickled there.
+    ``_train_seeds`` deals these calls to worker processes, so what it
+    returns is pickled there.
     """
     configs = [caught(build_config, entry, base, seed) for entry in entries]
     dataset = caught(resolve_dataset, spec.dataset, seed, spec.base_dir)
@@ -437,13 +444,13 @@ def _train_seed(spec: ExperimentSpec, entries, base: dict | None,
     return dataset, [(c, c if isinstance(c, Exception) else next(results)) for c in configs]
 
 
-def _worker_count(seeds: int) -> int:
-    """How many processes train ``seeds`` seeds: as many as the usable
-    cores hold at BLAS's threads per process, at most one per seed and at
-    least one.  BLAS's thread count is the first of ``OPENBLAS_NUM_THREADS``
-    and ``OMP_NUM_THREADS`` that is a positive integer, else every usable
-    core, OpenBLAS's own default; so a process whose BLAS already uses
-    every core trains its seeds one after another.
+def _worker_count(units: int) -> int:
+    """How many processes train ``units`` units of work: as many as the
+    usable cores hold at BLAS's threads per process, at most one per unit
+    and at least one.  BLAS's thread count is the first of
+    ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is a positive
+    integer, else every usable core, OpenBLAS's own default; so a process
+    whose BLAS already uses every core trains its units one after another.
     """
     try:
         cores = len(os.sched_getaffinity(0))
@@ -458,24 +465,79 @@ def _worker_count(seeds: int) -> int:
         if value > 0:
             threads = value
             break
-    return max(1, min(seeds, cores // threads))
+    return max(1, min(units, cores // threads))
+
+
+def _units(seeds: int, entries, base: dict | None) -> list[tuple[int, list[int]]]:
+    """The units of work of ``seeds`` seeds: (seed index, entry indices),
+    in seed order and, within a seed, slice by slice.
+
+    With ``workers`` the most processes the cores allow, each seed is cut
+    into the same ``parts = workers // gcd(seeds, workers)`` slices, the
+    fewest that let the units divide evenly over the workers, and an empty
+    slice is dropped.  The STL, JSEP and JDIST entries share the first
+    slice, so their predictive-only network trains once; every other entry
+    goes, in order, to the first of the slices that hold the fewest
+    entries so far.
+    """
+    workers = _worker_count(seeds * len(entries))
+    parts = workers // math.gcd(seeds, workers)
+    first = [{**(base or {}), **entry}.get("method") in (STL, JSEP, JDIST)
+             for entry in entries]
+    slices = [[i for i, f in enumerate(first) if f]] + [[] for _ in range(parts - 1)]
+    for i, f in enumerate(first):
+        if not f:
+            min(slices, key=len).append(i)
+    return [(s, sorted(part)) for s in range(seeds) for part in slices if part]
+
+
+def _recorded(spec: ExperimentSpec, entries, base: dict | None, seed: int) -> tuple:
+    """``_train_seed``'s result and the Python warnings the call issued,
+    recorded under the process's filters instead of printed."""
+    with warnings.catch_warnings(record=True) as log:
+        result = _train_seed(spec, entries, base, seed)
+    return result, [(w.message, w.filename, w.lineno) for w in log]
+
+
+def _reissue(recorded: list) -> None:
+    """Issue recorded warnings again, in order, as the code where each was
+    raised would: through the filters and the registry of its module, so a
+    warning that several units raised prints as often as in one process."""
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, filename, lineno in recorded:
+        module = modules.get(filename)
+        warnings.warn_explicit(
+            message, type(message), filename, lineno,
+            module=getattr(module, "__name__", None),
+            registry=None if module is None else vars(module).setdefault(
+                "__warningregistry__", {}))
 
 
 def _train_seeds(spec: ExperimentSpec, entries, base: dict | None) -> list[tuple]:
-    """``_train_seed``'s result for every seed of ``spec``, in seed order.
+    """Every seed's dataset and (config, result) pair per entry, in seed
+    order, as one ``_train_seed`` call over all of ``entries`` gives them.
 
-    The seeds are dealt round-robin to this process and to the other
-    ``_worker_count`` - 1 workers, children made with ``os.fork`` that
-    each pickle their share's results into a pipe.  A share whose child
+    The work is cut into units, slices of one seed's entries (``_units``),
+    dealt round-robin to this process and to the other ``_worker_count`` - 1
+    workers, children made with ``os.fork`` that each pickle their share's
+    results into a pipe.  Each run is put back at its entry's index, and
+    each seed's dataset comes from its first unit.  A share whose child
     delivers nothing, because the child could not start, failed or died,
     trains here afterwards, so the results are a serial run's whatever
-    becomes of a child.  Every child is reaped before the call returns or
-    raises.
+    becomes of a child.  Every unit's Python warnings are recorded, then
+    issued again here in unit order once all are trained.  Every child is
+    reaped before the call returns or raises.
     """
     seeds = spec.seeds
-    workers = _worker_count(len(seeds))
-    shares = [range(w, len(seeds), workers) for w in range(workers)]
-    results: list = [None] * len(seeds)
+    units = _units(len(seeds), entries, base)
+    workers = _worker_count(len(units))
+    shares = [range(w, len(units), workers) for w in range(workers)]
+
+    def train(share):
+        return [_recorded(spec, [entries[i] for i in units[u][1]], base,
+                          seeds[units[u][0]]) for u in share]
+
+    trained: list = [None] * len(units)
     children = []
     try:
         for share in shares[1:]:
@@ -488,27 +550,33 @@ def _train_seeds(spec: ExperimentSpec, entries, base: dict | None) -> list[tuple
                 try:
                     os.close(read)
                     with open(write, "wb") as pipe:
-                        pickle.dump([_train_seed(spec, entries, base, seeds[i])
-                                     for i in share], pipe)
+                        pickle.dump(train(share), pipe)
                 finally:
                     os._exit(0)
             os.close(write)
             children.append((pid, read, share))
-        for i in shares[0]:
-            results[i] = _train_seed(spec, entries, base, seeds[i])
+        for u, result in zip(shares[0], train(shares[0])):
+            trained[u] = result
         for _, read, share in children:
             try:
                 with open(read, "rb", closefd=False) as pipe:
                     delivered = pickle.load(pipe)
             except Exception:  # a short or broken stream: the child failed
-                delivered = [_train_seed(spec, entries, base, seeds[i]) for i in share]
-            for i, result in zip(share, delivered):
-                results[i] = result
+                delivered = train(share)
+            for u, result in zip(share, delivered):
+                trained[u] = result
     finally:
         for pid, read, _ in children:
             os.close(read)
             if pid is not None:
                 os.waitpid(pid, 0)
+    results: list = [None] * len(seeds)
+    for (s, part), ((dataset, runs), _) in zip(units, trained):
+        if results[s] is None:
+            results[s] = (dataset, [None] * len(entries))
+        for i, run in zip(part, runs):
+            results[s][1][i] = run
+    _reissue([w for _, recorded in trained for w in recorded])
     return results
 
 
@@ -517,11 +585,11 @@ def run_experiment(
 ) -> tuple[list[ResultRow], list[RunOutcome], list[RunFailure]]:
     """Run the method-by-seed grid and aggregate results.
 
-    Each seed's dataset is resolved once and shared by all methods at that
-    seed, and each seed's runs train in one ``run_methods`` call; the
-    seeds train in parallel worker processes when the cores allow
-    (``_train_seeds``), with the same results as one after another.  A
-    run that raises becomes a RunFailure; the rest continue.  Outcomes,
+    Each seed's runs train in one ``run_methods`` call on the seed's
+    dataset, or, when the cores allow, in slices trained by parallel
+    worker processes, each resolving the dataset itself (``_train_seeds``),
+    with the same results as one call after another.  A run that raises
+    becomes a RunFailure; the rest continue.  Outcomes,
     failures and the per-run artifacts (report, model, surrogate, written
     under output_dir/runs) follow the grid method by method.
     """
@@ -587,8 +655,9 @@ def pareto_scan(
 ) -> tuple[list[ScatterPoint], list[RunFailure]]:
     """Trade-off scan: nine fixed-weight runs plus the min-norm run per seed.
 
-    Each seed's ten runs train as one stack, and the seeds train as
-    ``run_experiment``'s do (``_train_seeds``).  Every point carries a
+    Each seed's ten runs train as one stack, or as one stack per slice
+    when idle cores cut the seed's runs into slices; either way the seeds
+    train as ``run_experiment``'s do (``_train_seeds``).  Every point carries a
     dominance flag computed within its seed using (task loss, fidelity)
     pairs, both oriented as losses.
     """

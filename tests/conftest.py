@@ -3,8 +3,9 @@ from __future__ import annotations
 import os
 
 # One BLAS thread per process, set before numpy loads it, so that an
-# experiment's seeds train in worker processes (harness._train_seeds) on
-# the cores one thread leaves idle, as they do under the benchmark.
+# experiment's seeds, cut into slices, train in worker processes
+# (harness._train_seeds) on the cores one thread leaves idle, as they do
+# under the benchmark.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

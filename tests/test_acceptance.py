@@ -90,9 +90,9 @@ DATASET = dict(generator="nonlinear", n=2000, d=10, noise=0.5)
 
 @pytest.fixture(scope="session")
 def paired_runs():
-    """Six methods trained at three shared seeds on one synthetic task, one
-    ``run_methods`` call per seed, the seeds dealt to worker processes as
-    `tandem experiment` deals them: bit for bit the runs alone."""
+    """Six methods trained at three shared seeds on one synthetic task, the
+    seeds cut into slices and dealt to worker processes as `tandem
+    experiment` deals them: bit for bit the runs alone."""
     start = time.perf_counter()
     spec = spec_from_dict({
         "dataset": {"kind": "synthetic", **DATASET},

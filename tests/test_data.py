@@ -436,7 +436,7 @@ def test_non_numeric_target_needs_two_levels(tmp_path):
 
 
 def write_idx_pair(tmp_path, pixels, labels, h, w, images_magic=IDX_IMAGES_MAGIC,
-                   labels_magic=IDX_LABELS_MAGIC, label_count=None, extra=b""):
+                   labels_magic=IDX_LABELS_MAGIC, extra=b""):
     n = len(labels)
     images_path = tmp_path / "images.idx"
     labels_path = tmp_path / "labels.idx"
@@ -445,7 +445,7 @@ def write_idx_pair(tmp_path, pixels, labels, h, w, images_magic=IDX_IMAGES_MAGIC
         fh.write(bytes(pixels))
         fh.write(extra)
     with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">ii", labels_magic, label_count if label_count is not None else n))
+        fh.write(struct.pack(">ii", labels_magic, n))
         fh.write(bytes(labels))
     return str(images_path), str(labels_path)
 
@@ -474,10 +474,9 @@ def test_load_idx_rejects_bad_magic(tmp_path):
 
 
 def test_load_idx_rejects_count_mismatch(tmp_path):
-    images_path, labels_path = write_idx_pair(
-        tmp_path, [0] * 8, [0, 1], 2, 2, label_count=1
-    )
-    with pytest.raises(IdxFormatError):
+    # Two 2x2 images and one label, each file matching its own header.
+    images_path, labels_path = write_idx_pair(tmp_path, [0] * 8, [0], 2, 2)
+    with pytest.raises(IdxFormatError, match="image count 2 does not match label count 1"):
         load_idx(images_path, labels_path)
 
 

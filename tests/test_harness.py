@@ -5,6 +5,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -731,7 +733,7 @@ def test_pareto_scan_stage_failing_in_this_process_spares_the_forked_seed(tmp_pa
 
 def _visible_cores(monkeypatch, cores):
     """Let this process see ``cores`` cores and one BLAS thread, which gives
-    ``min(seeds, cores)`` workers."""
+    ``min(units, cores)`` workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
@@ -741,7 +743,7 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cores, openblas, omp, seeds, workers", [
+@pytest.mark.parametrize("cores, openblas, omp, units, workers", [
     (2, None, None, 1, 1),
     (2, None, None, 3, 1),  # unset: BLAS takes every core
     (2, "1", None, 1, 1),
@@ -763,7 +765,7 @@ def _assert_no_children():
     (None, "1", None, 3, 1),  # no affinity call: one core
 ])
 def test_worker_count_fills_the_cores_blas_leaves_idle(monkeypatch, cores, openblas, omp,
-                                                       seeds, workers):
+                                                       units, workers):
     if cores is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -773,13 +775,54 @@ def test_worker_count_fills_the_cores_blas_leaves_idle(monkeypatch, cores, openb
             monkeypatch.delenv(var, raising=False)
         else:
             monkeypatch.setenv(var, value)
-    assert harness._worker_count(seeds) == workers
+    assert harness._worker_count(units) == workers
 
 
-def _grid_outputs(tmp_path, monkeypatch, capfd, command, cores, tag):
+GRID = ["MOO", "STL", "UNI", "RND", "JSEP", "JDIST"]
+SCAN = ["MOO"] + ["GS"] * 9
+
+
+@pytest.mark.parametrize("cores, seeds, methods, base, slices", [
+    (1, 1, SCAN, None, [list(range(10))]),
+    (1, 3, GRID, None, [list(range(6))]),
+    (2, 2, GRID, None, [list(range(6))]),  # the seeds divide evenly: one slice each
+    (2, 4, SCAN, None, [list(range(10))]),
+    (4, 2, SCAN, None, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
+    (2, 1, SCAN, None, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
+    (2, 3, SCAN, None, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
+    (4, 1, SCAN, None, [[0, 4, 8], [1, 5, 9], [2, 6], [3, 7]]),
+    (4, 6, SCAN, None, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
+    # STL, JSEP and JDIST hold the first slice: MOO, UNI and RND fill the other.
+    (2, 1, GRID, None, [[1, 4, 5], [0, 2, 3]]),
+    (3, 1, GRID, None, [[1, 4, 5], [0, 3], [2]]),
+    (2, 1, ["STL", "JSEP", "JDIST"], None, [[0, 1, 2]]),  # an empty slice is dropped
+    (2, 1, ["MOO"], None, [[0]]),
+    (2, 1, ["LINEAR", "NOPE", [1], "JDIST"], None, [[1, 3], [0, 2]]),
+    # The base config names the method of an entry that does not.
+    (2, 1, [None, "MOO"], {"method": "STL"}, [[0], [1]]),
+    (2, 1, [None, None, "GS"], {"method": "STL"}, [[0, 1], [2]]),
+])
+def test_a_seed_is_cut_into_the_fewest_slices_that_divide_evenly(
+        monkeypatch, cores, seeds, methods, base, slices):
+    _visible_cores(monkeypatch, cores)
+    entries = [{} if m is None else {"method": m} for m in methods]
+    units = harness._units(seeds, entries, base)
+    assert units == [(s, part) for s in range(seeds) for part in slices]
+    # Every entry lands in exactly one slice, and STL, JSEP and JDIST share one.
+    assert sorted(i for part in slices for i in part) == list(range(len(entries)))
+    shared = {i for i, e in enumerate(entries)
+              if {**(base or {}), **e}.get("method") in (STL, "JSEP", "JDIST")}
+    assert any(shared <= set(part) for part in slices)
+    if seeds % harness._worker_count(seeds * len(entries)) == 0:
+        assert len(slices) == 1
+
+
+def _grid_outputs(tmp_path, monkeypatch, capfd, command, cores, tag, seeds=(4, 5, 6, 7)):
     """Exit status, stdout, stderr and every output file of one ``command``
-    run over four seeds: seed 5 has diverging runs and seed 7's dataset
-    cannot be resolved.  With two workers both train in a child."""
+    run over ``seeds``: seed 5 has diverging runs and seed 7's dataset
+    cannot be resolved.  With two workers and the four seeds, seeds 5 and 7
+    train in a child; with one seed or three, each seed is cut in two and
+    its second slice trains in the child."""
     def resolve(descriptor, seed, base_dir="."):
         if seed == 7:
             descriptor = {"kind": "csv", "path": "absent.csv", "columns": [
@@ -790,7 +833,7 @@ def _grid_outputs(tmp_path, monkeypatch, capfd, command, cores, tag):
     _visible_cores(monkeypatch, cores)
     out = tmp_path / tag
     out.mkdir()
-    spec = {**DIVERGING, "seeds": [4, 5, 6, 7], "metrics": ["task", "gf", "gnf"],
+    spec = {**DIVERGING, "seeds": list(seeds), "metrics": ["task", "gf", "gnf"],
             "methods": [{"method": m} for m in (MOO, STL)] + [
                 {"method": GS, "alpha": 0.9}, {"method": "JDIST"}, {"method": LINEAR}]}
     (out / "spec.json").write_text(json.dumps(spec))
@@ -803,21 +846,67 @@ def _grid_outputs(tmp_path, monkeypatch, capfd, command, cores, tag):
     return code, stdout.replace(root, "<out>"), stderr.replace(root, "<out>"), files
 
 
-@pytest.mark.parametrize("command", ["experiment", "pareto-scan"])
+# Each command over four seeds, which two workers share seed by seed, and
+# over one seed and three, which they share slice by slice.
+GRIDS = [pytest.param(command, seeds, id=command + tag)
+         for command in ("experiment", "pareto-scan")
+         for seeds, tag in (((4, 5, 6, 7), ""), ((5,), "-1-seed"), ((5, 6, 7), "-3-seeds"))]
+
+
+@pytest.mark.parametrize("command, seeds", GRIDS)
 def test_seeds_trained_in_workers_write_the_serial_bytes(tmp_path, monkeypatch, capfd,
-                                                         command):
+                                                         command, seeds):
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    serial = _grid_outputs(tmp_path, monkeypatch, capfd, command, 1, "serial")
+    serial = _grid_outputs(tmp_path, monkeypatch, capfd, command, 1, "serial", seeds)
     assert forks == []
-    forked = _grid_outputs(tmp_path, monkeypatch, capfd, command, 2, "forked")
+    forked = _grid_outputs(tmp_path, monkeypatch, capfd, command, 2, "forked", seeds)
     assert forks == [1]
     assert forked == serial
     code, _, stderr, files = serial
     assert code > 0
-    assert "NumericError" in stderr and "FileNotFoundError: [Errno 2]" in stderr
+    assert "NumericError" in stderr
+    assert ("FileNotFoundError: [Errno 2]" in stderr) == (7 in seeds)
     assert b'"seed": 5' in files["out/failures.json"]
+
+
+# The CLI in a process of its own that sees ``argv[1]`` cores, so that what a
+# forked worker prints reaches the stderr that is compared.
+_CLI_WITH_CORES = """
+import os, sys
+os.sched_getaffinity = lambda pid, cores=int(sys.argv[1]): set(range(cores))
+from tandem.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _cli_process(tmp_path, command, seeds, cores):
+    """Exit status, stdout and stderr of ``command`` over ``seeds`` of the
+    diverging spec, run as its own process with one BLAS thread."""
+    work = tmp_path / f"{command}_{len(seeds)}_{cores}"
+    work.mkdir()
+    (work / "spec.json").write_text(json.dumps({**DIVERGING, "seeds": list(seeds), "methods": [
+        {"method": m} for m in (MOO, STL)] + [{"method": GS, "alpha": 0.9}, {"method": "JDIST"}]}))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(harness.__file__))}
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _CLI_WITH_CORES, str(cores), command,
+         "--spec", str(work / "spec.json"), "--out", str(work / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    root = str(work)
+    return done.returncode, done.stdout.replace(root, "<out>"), done.stderr.replace(root, "<out>")
+
+
+@pytest.mark.parametrize("seeds", [(5,), (4, 5, 6)])
+@pytest.mark.parametrize("command", ["experiment", "pareto-scan"])
+def test_a_diverging_run_prints_the_serial_warnings_once_whatever_the_workers(
+        tmp_path, command, seeds):
+    serial = _cli_process(tmp_path, command, seeds, 1)
+    assert _cli_process(tmp_path, command, seeds, 2) == serial
+    for problem in ("overflow", "invalid value"):
+        assert serial[2].count(f"RuntimeWarning: {problem} encountered in matmul") == 1
 
 
 def _worker_dies(monkeypatch):
@@ -839,10 +928,10 @@ def _fork_fails(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
-@pytest.mark.parametrize("command", ["experiment", "pareto-scan"])
+@pytest.mark.parametrize("command, seeds", GRIDS)
 @pytest.mark.parametrize("fail", [_worker_dies, _fork_fails])
 def test_a_share_whose_worker_delivers_nothing_trains_in_this_process(
-        tmp_path, monkeypatch, capfd, command, fail):
-    serial = _grid_outputs(tmp_path, monkeypatch, capfd, command, 1, "serial")
+        tmp_path, monkeypatch, capfd, command, fail, seeds):
+    serial = _grid_outputs(tmp_path, monkeypatch, capfd, command, 1, "serial", seeds)
     fail(monkeypatch)
-    assert _grid_outputs(tmp_path, monkeypatch, capfd, command, 2, "forked") == serial
+    assert _grid_outputs(tmp_path, monkeypatch, capfd, command, 2, "forked", seeds) == serial
