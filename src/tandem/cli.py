@@ -77,14 +77,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
     descriptor, base_dir = load_dataset_descriptor(args.dataset)
     config = _config_from_args(args)
     dataset = resolve_dataset(descriptor, config.seed, base_dir)
+    name = dataset_name(descriptor)
     os.makedirs(args.out, exist_ok=True)
     model, surrogate, report = run_method(dataset, config)
     outcome = RunOutcome(
         method=method_label(config), seed=config.seed,
         model=model, surrogate=surrogate, report=report,
     )
-    write_run_artifacts(args.out, dataset_name(descriptor), outcome,
-                        dataset.feature_names)
+    write_run_artifacts(args.out, name, outcome, dataset.feature_names)
     gf = "none" if report.gf is None else f"{report.gf:.6g}"
     print(f"method={outcome.method} seed={config.seed} "
           f"epochs={report.epochs_run} stopped={report.stopped_reason} "

@@ -45,14 +45,12 @@ from .nn import MlpModel, mlp_to_dict
 from .surrogate import LinearSurrogate, surrogate_params, surrogate_to_dict
 from .trainers import (
     GS,
-    JDIST,
-    JSEP,
     MOO,
-    STL,
     TrainConfig,
     TrainReport,
     _eval_rows,
     run_methods,
+    run_slices,
 )
 
 RESULTS_SCHEMA = "tandem-results"
@@ -283,8 +281,15 @@ def resolve_dataset(descriptor: dict, seed: int, base_dir: str = ".") -> Dataset
 
 
 def dataset_name(descriptor: dict) -> str:
+    """The optional ``name`` key, else a name from the kind's own keys.  A
+    ``name`` that is not a file name (a nonempty string, not ``.`` or ``..``,
+    with no path separator) raises DataError: it would leave ``runs/``."""
     if "name" in descriptor:
-        return str(descriptor["name"])
+        name = descriptor["name"]
+        if not isinstance(name, str) or name in ("", ".", "..") or any(
+                sep and sep in name for sep in ("/", os.sep, os.altsep)):
+            raise DataError(f"dataset name must be a file name, got {name!r}")
+        return name
     kind = descriptor.get("kind")
     if kind == "synthetic":
         return str(descriptor.get("generator", "synthetic"))
@@ -424,33 +429,13 @@ def _failure(dataset: str, method: str, seed: int, exc: Exception) -> RunFailure
     return RunFailure(dataset, method, seed, str(exc), type(exc).__name__)
 
 
-def _train_seed(spec: ExperimentSpec, entries, base: dict | None,
-                seed: int) -> tuple[Dataset | Exception, list[tuple]]:
-    """One slice of a seed's runs: every entry's config built on ``base``,
-    and the built ones trained on the seed's dataset in one ``run_methods``
-    call.
-
-    Returns the dataset and, per entry, its (config, result) pair; each
-    slot holds the exception its step raised instead, and a dataset that
-    cannot be resolved is that exception and every built config's result.
-    ``_train_seeds`` deals these calls to worker processes, so what it
-    returns is pickled there.
-    """
-    configs = [caught(build_config, entry, base, seed) for entry in entries]
-    dataset = caught(resolve_dataset, spec.dataset, seed, spec.base_dir)
-    built = [c for c in configs if not isinstance(c, Exception)]
-    results = iter([dataset] * len(built) if isinstance(dataset, Exception)
-                   else run_methods(dataset, built))
-    return dataset, [(c, c if isinstance(c, Exception) else next(results)) for c in configs]
-
-
-def _worker_count(units: int) -> int:
-    """How many processes train ``units`` units of work: as many as the
-    usable cores hold at BLAS's threads per process, at most one per unit
-    and at least one.  BLAS's thread count is the first of
-    ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is a positive
-    integer, else every usable core, OpenBLAS's own default; so a process
-    whose BLAS already uses every core trains its units one after another.
+def _worker_count(runs: int) -> int:
+    """How many processes train ``runs`` runs: as many as the usable cores
+    hold at BLAS's threads per process, at most one per run and at least
+    one.  BLAS's thread count is the first of ``OPENBLAS_NUM_THREADS`` and
+    ``OMP_NUM_THREADS`` that is a positive integer, else every usable core,
+    OpenBLAS's own default; so a process whose BLAS already uses every core
+    trains its runs one after another.
     """
     try:
         cores = len(os.sched_getaffinity(0))
@@ -465,37 +450,33 @@ def _worker_count(units: int) -> int:
         if value > 0:
             threads = value
             break
-    return max(1, min(units, cores // threads))
+    return max(1, min(runs, cores // threads))
 
 
-def _units(seeds: int, entries, base: dict | None) -> list[tuple[int, list[int]]]:
-    """The units of work of ``seeds`` seeds: (seed index, entry indices),
-    in seed order and, within a seed, slice by slice.
-
-    With ``workers`` the most processes the cores allow, each seed is cut
-    into the same ``parts = workers // gcd(seeds, workers)`` slices, the
-    fewest that let the units divide evenly over the workers, and an empty
-    slice is dropped.  The STL, JSEP and JDIST entries share the first
-    slice, so their predictive-only network trains once; every other entry
-    goes, in order, to the first of the slices that hold the fewest
-    entries so far.
+def _units(plans: list[tuple]) -> tuple[int, list[tuple[int, list[int]]]]:
+    """The workers and the units of ``plans``, each seed's dataset and
+    configs: a unit is (seed index, entry indices), one slice of the built
+    configs of a seed that has a dataset, in seed order.  With ``cap`` the
+    most workers the cores allow for that many runs, each such seed is cut
+    by ``run_slices`` into at most ``parts = cap // gcd(seeds with a
+    dataset, cap)`` slices, the fewest that let the units divide evenly
+    over the ``min(units, cap)`` workers, of whom there is at least one.
     """
-    workers = _worker_count(seeds * len(entries))
-    parts = workers // math.gcd(seeds, workers)
-    first = [{**(base or {}), **entry}.get("method") in (STL, JSEP, JDIST)
-             for entry in entries]
-    slices = [[i for i, f in enumerate(first) if f]] + [[] for _ in range(parts - 1)]
-    for i, f in enumerate(first):
-        if not f:
-            min(slices, key=len).append(i)
-    return [(s, sorted(part)) for s in range(seeds) for part in slices if part]
+    built = [(s, [i for i, c in enumerate(configs) if not isinstance(c, Exception)])
+             for s, (dataset, configs) in enumerate(plans)
+             if not isinstance(dataset, Exception)]
+    cap = _worker_count(sum(len(indices) for _, indices in built))
+    parts = cap // math.gcd(len(built), cap)
+    units = [(s, [indices[i] for i in part]) for s, indices in built
+             for part in run_slices([plans[s][1][i] for i in indices], parts)]
+    return max(1, min(cap, len(units))), units
 
 
-def _recorded(spec: ExperimentSpec, entries, base: dict | None, seed: int) -> tuple:
-    """``_train_seed``'s result and the Python warnings the call issued,
+def _recorded(function, *args) -> tuple:
+    """``function(*args)`` and the Python warnings the call issued,
     recorded under the process's filters instead of printed."""
     with warnings.catch_warnings(record=True) as log:
-        result = _train_seed(spec, entries, base, seed)
+        result = function(*args)
     return result, [(w.message, w.filename, w.lineno) for w in log]
 
 
@@ -515,29 +496,31 @@ def _reissue(recorded: list) -> None:
 
 def _train_seeds(spec: ExperimentSpec, entries, base: dict | None) -> list[tuple]:
     """Every seed's dataset and (config, result) pair per entry, in seed
-    order, as one ``_train_seed`` call over all of ``entries`` gives them.
+    order, as one ``run_methods`` call per seed over its built configs
+    gives them.
 
-    The work is cut into units, slices of one seed's entries (``_units``),
-    dealt round-robin to this process and to the other ``_worker_count`` - 1
-    workers, children made with ``os.fork`` that each pickle their share's
-    results into a pipe.  Each run is put back at its entry's index, and
-    each seed's dataset comes from its first unit.  A share whose child
-    delivers nothing, because the child could not start, failed or died,
-    trains here afterwards, so the results are a serial run's whatever
-    becomes of a child.  Every unit's Python warnings are recorded, then
-    issued again here in unit order once all are trained.  Every child is
-    reaped before the call returns or raises.
+    The work is planned here, before any fork: each seed's dataset is
+    resolved once and each entry's config built once, and a step that
+    raises is the result of every run it feeds.  The units (``_units``) are
+    dealt round-robin to this process and to children made with
+    ``os.fork``, which train each unit of their share with one
+    ``run_methods`` call on the plan they were forked with and pickle only
+    its runs into a pipe.  A share whose child delivers nothing (it could
+    not start, failed or died) trains here afterwards.  The warnings of
+    each seed's plan, then of its units, are recorded and issued again
+    here in seed order.  No child outlives the call.
     """
-    seeds = spec.seeds
-    units = _units(len(seeds), entries, base)
-    workers = _worker_count(len(units))
-    shares = [range(w, len(units), workers) for w in range(workers)]
+    def plan(seed):
+        return (caught(resolve_dataset, spec.dataset, seed, spec.base_dir),
+                [caught(build_config, entry, base, seed) for entry in entries])
 
     def train(share):
-        return [_recorded(spec, [entries[i] for i in units[u][1]], base,
-                          seeds[units[u][0]]) for u in share]
+        return [_recorded(run_methods, plans[s][0], [plans[s][1][i] for i in part])
+                for s, part in (units[u] for u in share)]
 
-    trained: list = [None] * len(units)
+    plans, logs = zip(*(_recorded(plan, seed) for seed in spec.seeds))
+    workers, units = _units(plans)
+    shares = [range(w, len(units), workers) for w in range(workers)]
     children = []
     try:
         for share in shares[1:]:
@@ -555,28 +538,28 @@ def _train_seeds(spec: ExperimentSpec, entries, base: dict | None) -> list[tuple
                     os._exit(0)
             os.close(write)
             children.append((pid, read, share))
-        for u, result in zip(shares[0], train(shares[0])):
-            trained[u] = result
+        trained = dict(zip(shares[0], train(shares[0])))
         for _, read, share in children:
             try:
                 with open(read, "rb", closefd=False) as pipe:
                     delivered = pickle.load(pipe)
             except Exception:  # a short or broken stream: the child failed
                 delivered = train(share)
-            for u, result in zip(share, delivered):
-                trained[u] = result
+            trained.update(zip(share, delivered))
     finally:
         for pid, read, _ in children:
             os.close(read)
             if pid is not None:
                 os.waitpid(pid, 0)
-    results: list = [None] * len(seeds)
-    for (s, part), ((dataset, runs), _) in zip(units, trained):
-        if results[s] is None:
-            results[s] = (dataset, [None] * len(entries))
+    # A run no unit trains keeps its config's exception or its dataset's.
+    results = [(dataset, [(c, c if isinstance(c, Exception) else dataset) for c in configs])
+               for dataset, configs in plans]
+    for u, (s, part) in enumerate(units):
+        runs, log = trained[u]
+        logs[s].extend(log)
         for i, run in zip(part, runs):
-            results[s][1][i] = run
-    _reissue([w for _, recorded in trained for w in recorded])
+            results[s][1][i] = (plans[s][1][i], run)
+    _reissue([w for log in logs for w in log])
     return results
 
 
@@ -585,11 +568,11 @@ def run_experiment(
 ) -> tuple[list[ResultRow], list[RunOutcome], list[RunFailure]]:
     """Run the method-by-seed grid and aggregate results.
 
-    Each seed's runs train in one ``run_methods`` call on the seed's
-    dataset, or, when the cores allow, in slices trained by parallel
-    worker processes, each resolving the dataset itself (``_train_seeds``),
-    with the same results as one call after another.  A run that raises
-    becomes a RunFailure; the rest continue.  Outcomes,
+    Each seed's dataset is resolved once and each run's config built once,
+    here; the runs then train in one ``run_methods`` call per seed or, when
+    the cores allow, in slices trained by parallel worker processes
+    (``_train_seeds``), with the same results as one call after another.
+    A run that raises becomes a RunFailure; the rest continue.  Outcomes,
     failures and the per-run artifacts (report, model, surrogate, written
     under output_dir/runs) follow the grid method by method.
     """
@@ -655,11 +638,12 @@ def pareto_scan(
 ) -> tuple[list[ScatterPoint], list[RunFailure]]:
     """Trade-off scan: nine fixed-weight runs plus the min-norm run per seed.
 
-    Each seed's ten runs train as one stack, or as one stack per slice
-    when idle cores cut the seed's runs into slices; either way the seeds
-    train as ``run_experiment``'s do (``_train_seeds``).  Every point carries a
-    dominance flag computed within its seed using (task loss, fidelity)
-    pairs, both oriented as losses.
+    Each seed's dataset is resolved once, here, and its ten runs train as
+    one stack, or as one stack per slice when idle cores cut the seed's
+    runs into slices; either way the seeds train as ``run_experiment``'s
+    do (``_train_seeds``).  Every point carries a dominance flag computed
+    within its seed using (task loss, fidelity) pairs, both oriented as
+    losses.
     """
     name = dataset_name(spec.dataset)
     base = dict(spec.base_config or {})

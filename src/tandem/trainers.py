@@ -17,7 +17,8 @@ the loop holds their networks and surrogates as stacks, one row per run,
 except that JSEP shares the predictive-only row's network, and every run
 moves bit for bit as it would alone.  A stack that
 raises trains each of its runs again alone, so every run ends with the
-result or the error it has alone.  ``run_method`` is the one-run case.
+result or the error it has alone.  ``run_method`` is the one-run case,
+and ``run_slices`` cuts runs into slices that train apart as one.
 
 While a fit runs, the networks and the surrogates are flat rows stepped
 in place by Adam; their model objects are built once, when a run ends.
@@ -672,6 +673,20 @@ def run_methods(dataset: Dataset, configs: list[TrainConfig]) -> list:
             else:
                 results[i] = caught(_fit_stl_surrogate, dataset, configs[i], pred)
     return results
+
+
+def run_slices(configs: list[TrainConfig], parts: int) -> list[list[int]]:
+    """The indices of ``configs`` cut into at most ``parts`` nonempty
+    slices, each in index order; one :func:`run_methods` call per slice
+    ends every run as one call over all of them does.  The STL, JSEP and
+    JDIST runs share the first slice, so their predictive-only network
+    trains once; each other run goes to the first of the smallest slices."""
+    pred = [config.method in (STL, JSEP, JDIST) for config in configs]
+    slices = [[i for i, p in enumerate(pred) if p]] + [[] for _ in range(parts - 1)]
+    for i, p in enumerate(pred):
+        if not p:
+            min(slices, key=len).append(i)
+    return [sorted(part) for part in slices if part]
 
 
 def run_method(

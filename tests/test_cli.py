@@ -444,6 +444,23 @@ def test_malformed_descriptor_reports_failure(tmp_path, capsys, command, descrip
     assert err.startswith(prefix) and message in err
 
 
+@pytest.mark.parametrize("command", ["train", "experiment", "pareto-scan"])
+def test_a_dataset_name_that_leaves_runs_fails_before_it_writes(tmp_path, capsys, command):
+    descriptor = tmp_path / "escaping.json"
+    descriptor.write_text(json.dumps(dict(DESCRIPTOR, name="../../escaped")))
+    spec = tmp_path / "exp.json"
+    spec.write_text(json.dumps({"dataset": "escaping.json", "methods": [{"method": "MOO"}],
+                                "seeds": [0], "config": {"max_epochs": 2, "hidden": [4]}}))
+    args = (["train", "--dataset", str(descriptor), "--epochs", "2"] if command == "train"
+            else [command, "--spec", str(spec)])
+    assert main(args + ["--out", str(tmp_path / "out" / "a")]) == 1
+    prefix = "run" if command == "train" else command
+    assert capsys.readouterr() == (
+        "", f"{prefix} failed: dataset name must be a file name, got '../../escaped'\n")
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
+        "escaping.json", "exp.json"]
+
+
 def write_csv_spec(tmp_path, **extra):
     spec = tmp_path / "exp.json"
     spec.write_text(json.dumps({

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tandem.data import CLASSIFICATION
-from tandem.errors import DataError, TandemError
+from tandem.errors import DataError, TandemError, caught
 from tandem.harness import (
     KNOWN_METRICS,
     ExperimentSpec,
@@ -194,6 +194,13 @@ def test_dataset_name_prefers_explicit_name():
     assert dataset_name({"kind": "idx", "digit": 3}) == "digit3"
     assert dataset_name({"kind": "csv"}) == "csv"
     assert dataset_name({"kind": "csv", "path": 5}) == "csv"
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../../escaped", "a/b", os.sep + "abs",
+                                  5, None, ["toy"]])
+def test_dataset_name_rejects_a_name_that_is_not_a_file_name(name):
+    with pytest.raises(DataError, match="dataset name must be a file name"):
+        dataset_name(dict(SYNTH, name=name))
 
 
 # -- config merging -------------------------------------------------------------
@@ -778,51 +785,62 @@ def test_worker_count_fills_the_cores_blas_leaves_idle(monkeypatch, cores, openb
     assert harness._worker_count(units) == workers
 
 
-GRID = ["MOO", "STL", "UNI", "RND", "JSEP", "JDIST"]
-SCAN = ["MOO"] + ["GS"] * 9
+def _entries(*methods):
+    return [{"method": m, "alpha": 0.5} if m == GS else {"method": m} for m in methods]
 
 
-@pytest.mark.parametrize("cores, seeds, methods, base, slices", [
-    (1, 1, SCAN, None, [list(range(10))]),
-    (1, 3, GRID, None, [list(range(6))]),
-    (2, 2, GRID, None, [list(range(6))]),  # the seeds divide evenly: one slice each
-    (2, 4, SCAN, None, [list(range(10))]),
-    (4, 2, SCAN, None, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
-    (2, 1, SCAN, None, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
-    (2, 3, SCAN, None, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
-    (4, 1, SCAN, None, [[0, 4, 8], [1, 5, 9], [2, 6], [3, 7]]),
-    (4, 6, SCAN, None, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
+GRID = _entries(MOO, STL, "UNI", "RND", "JSEP", "JDIST")
+SCAN = _entries(MOO, *[GS] * 9)
+
+
+@pytest.mark.parametrize("cores, seeds, entries, base, workers, slices", [
+    (1, 1, SCAN, None, 1, [list(range(10))]),
+    (1, 3, GRID, None, 1, [list(range(6))]),
+    (2, 2, GRID, None, 2, [list(range(6))]),  # the seeds divide evenly: one slice each
+    (2, 4, SCAN, None, 2, [list(range(10))]),
+    (4, 2, SCAN, None, 4, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
+    (2, 1, SCAN, None, 2, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
+    (2, 3, SCAN, None, 2, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
+    (4, 1, SCAN, None, 4, [[0, 4, 8], [1, 5, 9], [2, 6], [3, 7]]),
+    (4, 6, SCAN, None, 4, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
     # STL, JSEP and JDIST hold the first slice: MOO, UNI and RND fill the other.
-    (2, 1, GRID, None, [[1, 4, 5], [0, 2, 3]]),
-    (3, 1, GRID, None, [[1, 4, 5], [0, 3], [2]]),
-    (2, 1, ["STL", "JSEP", "JDIST"], None, [[0, 1, 2]]),  # an empty slice is dropped
-    (2, 1, ["MOO"], None, [[0]]),
-    (2, 1, ["LINEAR", "NOPE", [1], "JDIST"], None, [[1, 3], [0, 2]]),
+    (2, 1, GRID, None, 2, [[1, 4, 5], [0, 2, 3]]),
+    (3, 1, GRID, None, 3, [[1, 4, 5], [0, 3], [2]]),
+    (2, 1, _entries(STL, "JSEP", "JDIST"), None, 1, [[0, 1, 2]]),  # one unit, one worker
+    (2, 1, _entries(MOO), None, 1, [[0]]),
+    # An unbuilt entry is no unit, and the built ones alone are cut.
+    (2, 1, _entries(LINEAR, "NOPE", [1], "JDIST"), None, 2, [[3], [0]]),
     # The base config names the method of an entry that does not.
-    (2, 1, [None, "MOO"], {"method": "STL"}, [[0], [1]]),
-    (2, 1, [None, None, "GS"], {"method": "STL"}, [[0, 1], [2]]),
+    (2, 1, [{}, {"method": MOO}], {"method": STL}, 2, [[0], [1]]),
+    (2, 1, [{}, {}, {"method": GS}], {"method": STL}, 1, [[0, 1]]),  # GS lacks its alpha
 ])
 def test_a_seed_is_cut_into_the_fewest_slices_that_divide_evenly(
-        monkeypatch, cores, seeds, methods, base, slices):
+        monkeypatch, cores, seeds, entries, base, workers, slices):
     _visible_cores(monkeypatch, cores)
-    entries = [{} if m is None else {"method": m} for m in methods]
-    units = harness._units(seeds, entries, base)
-    assert units == [(s, part) for s in range(seeds) for part in slices]
-    # Every entry lands in exactly one slice, and STL, JSEP and JDIST share one.
-    assert sorted(i for part in slices for i in part) == list(range(len(entries)))
-    shared = {i for i, e in enumerate(entries)
-              if {**(base or {}), **e}.get("method") in (STL, "JSEP", "JDIST")}
-    assert any(shared <= set(part) for part in slices)
-    if seeds % harness._worker_count(seeds * len(entries)) == 0:
-        assert len(slices) == 1
+    plans = [("dataset", [caught(build_config, e, base, s) for e in entries])
+             for s in range(seeds)]
+    assert harness._units(plans) == (workers, [(s, part) for s in range(seeds) for part in slices])
 
 
-def _grid_outputs(tmp_path, monkeypatch, capfd, command, cores, tag, seeds=(4, 5, 6, 7)):
+def test_a_seed_without_a_dataset_is_no_unit_and_no_part_of_the_cut(monkeypatch):
+    # Three seeds on two workers are each cut in two; two are not.
+    _visible_cores(monkeypatch, 2)
+    plans = [(DataError("absent") if s == 1 else "dataset",
+              [build_config(e, None, s) for e in SCAN]) for s in range(3)]
+    assert harness._units(plans) == (2, [(0, list(range(10))), (2, list(range(10)))])
+
+
+GRID_METHODS = [{"method": m} for m in (MOO, STL)] + [
+    {"method": GS, "alpha": 0.9}, {"method": "JDIST"}, {"method": LINEAR}]
+
+
+def _grid_outputs(tmp_path, monkeypatch, capfd, command, cores, tag, seeds=(4, 5, 6, 7),
+                  methods=GRID_METHODS):
     """Exit status, stdout, stderr and every output file of one ``command``
     run over ``seeds``: seed 5 has diverging runs and seed 7's dataset
-    cannot be resolved.  With two workers and the four seeds, seeds 5 and 7
-    train in a child; with one seed or three, each seed is cut in two and
-    its second slice trains in the child."""
+    cannot be resolved, so seed 7 is no unit.  With two workers and seeds
+    5, 6 and 7, seed 6 trains in a child; with one seed that has a dataset
+    or three, each is cut in two and its second slice trains in the child."""
     def resolve(descriptor, seed, base_dir="."):
         if seed == 7:
             descriptor = {"kind": "csv", "path": "absent.csv", "columns": [
@@ -834,8 +852,7 @@ def _grid_outputs(tmp_path, monkeypatch, capfd, command, cores, tag, seeds=(4, 5
     out = tmp_path / tag
     out.mkdir()
     spec = {**DIVERGING, "seeds": list(seeds), "metrics": ["task", "gf", "gnf"],
-            "methods": [{"method": m} for m in (MOO, STL)] + [
-                {"method": GS, "alpha": 0.9}, {"method": "JDIST"}, {"method": LINEAR}]}
+            "methods": methods}
     (out / "spec.json").write_text(json.dumps(spec))
     code = main([command, "--spec", str(out / "spec.json"), "--out", str(out / "out")])
     _assert_no_children()
@@ -846,8 +863,8 @@ def _grid_outputs(tmp_path, monkeypatch, capfd, command, cores, tag, seeds=(4, 5
     return code, stdout.replace(root, "<out>"), stderr.replace(root, "<out>"), files
 
 
-# Each command over four seeds, which two workers share seed by seed, and
-# over one seed and three, which they share slice by slice.
+# Each command over seeds 5, 6 and 7, which two workers share seed by seed,
+# and over seed 5 alone and seeds 4-7, which they share slice by slice.
 GRIDS = [pytest.param(command, seeds, id=command + tag)
          for command in ("experiment", "pareto-scan")
          for seeds, tag in (((4, 5, 6, 7), ""), ((5,), "-1-seed"), ((5, 6, 7), "-3-seeds"))]
@@ -911,14 +928,14 @@ def test_a_diverging_run_prints_the_serial_warnings_once_whatever_the_workers(
 
 def _worker_dies(monkeypatch):
     here = os.getpid()
-    real = harness._train_seed
+    real = harness.run_methods
 
-    def train_seed(*args):
+    def run_methods(*args):
         if os.getpid() != here:
             os._exit(3)
         return real(*args)
 
-    monkeypatch.setattr(harness, "_train_seed", train_seed)
+    monkeypatch.setattr(harness, "run_methods", run_methods)
 
 
 def _fork_fails(monkeypatch):
@@ -935,3 +952,41 @@ def test_a_share_whose_worker_delivers_nothing_trains_in_this_process(
     serial = _grid_outputs(tmp_path, monkeypatch, capfd, command, 1, "serial", seeds)
     fail(monkeypatch)
     assert _grid_outputs(tmp_path, monkeypatch, capfd, command, 2, "forked", seeds) == serial
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("command", ["experiment", "pareto-scan"])
+def test_each_seed_resolves_its_dataset_once_in_this_process(tmp_path, monkeypatch, command,
+                                                             cores):
+    # A child's calls cannot reach this process's memory, so each call is
+    # logged to a file.
+    log = tmp_path / "resolved"
+    real = harness.resolve_dataset
+
+    def resolve(descriptor, seed, base_dir="."):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {seed}\n")
+        return real(descriptor, seed, base_dir)
+
+    monkeypatch.setattr(harness, "resolve_dataset", resolve)
+    _visible_cores(monkeypatch, cores)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dataset": SYNTH, "methods": _entries(MOO, STL, GS),
+                                "seeds": [0, 1, 2], "config": QUICK}))
+    assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+    _assert_no_children()
+    assert log.read_text().split("\n") == [f"{os.getpid()} {s}" for s in (0, 1, 2)] + [""]
+
+
+def test_work_that_cannot_train_forks_nothing(tmp_path, monkeypatch, capfd):
+    # Seed 7 has no dataset, so MOO at seed 5 is the one run to train.
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    methods = [{"method": MOO}]
+    serial = _grid_outputs(tmp_path, monkeypatch, capfd, "experiment", 1, "serial", (5, 7),
+                           methods)
+    forked = _grid_outputs(tmp_path, monkeypatch, capfd, "experiment", 2, "forked", (5, 7),
+                           methods)
+    assert forks == []
+    assert forked == serial and forked[0] == 1

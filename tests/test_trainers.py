@@ -76,6 +76,7 @@ from tandem.trainers import (
     fit_local_surrogate,
     run_method,
     run_methods,
+    run_slices,
     train_linear,
 )
 
@@ -1127,6 +1128,49 @@ def test_underdetermined_local_gnf_is_held_out_not_in_sample(seed, d, points, da
 
 
 # -- dispatch and reports -----------------------------------------------------
+
+
+# -- cutting a list of runs into slices ---------------------------------------
+
+
+def _slice_configs(methods):
+    return [TrainConfig(method=m, alpha=0.5 if m == GS else None) for m in methods]
+
+
+_GRID = [MOO, STL, UNI, RND, JSEP, JDIST]
+_SCAN = [MOO] + [GS] * 9
+
+
+@pytest.mark.parametrize("methods, parts, slices", [
+    (_SCAN, 1, [list(range(10))]),
+    (_GRID, 1, [list(range(6))]),
+    ([GS, STL, MOO], 1, [[0, 1, 2]]),  # one slice keeps index order
+    (_SCAN, 2, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
+    (_SCAN, 4, [[0, 4, 8], [1, 5, 9], [2, 6], [3, 7]]),
+    # STL, JSEP and JDIST hold the first slice: MOO, UNI and RND fill the others.
+    (_GRID, 2, [[1, 4, 5], [0, 2, 3]]),
+    (_GRID, 3, [[1, 4, 5], [0, 3], [2]]),
+    ([STL, JSEP, JDIST], 2, [[0, 1, 2]]),  # an empty slice is dropped
+    ([MOO], 2, [[0]]),
+    ([LINEAR, JDIST], 2, [[1], [0]]),
+    ([STL, STL, LINEAR], 2, [[0, 1], [2]]),
+    ([], 3, []),
+])
+def test_run_slices_cut_runs_into_the_slices_of_the_rule(methods, parts, slices):
+    assert run_slices(_slice_configs(methods), parts) == slices
+
+
+@given(st.lists(st.sampled_from(METHODS), max_size=12), st.integers(1, 8))
+def test_run_slices_deal_every_run_once_and_keep_the_predictive_only_runs_together(
+        methods, parts):
+    slices = run_slices(_slice_configs(methods), parts)
+    assert sorted(i for part in slices for i in part) == list(range(len(methods)))
+    assert all(part and part == sorted(part) for part in slices)
+    assert len(slices) <= parts
+    shared = {i for i, m in enumerate(methods) if m in (STL, JSEP, JDIST)}
+    assert not shared or any(shared <= set(part) for part in slices)
+    if parts == 1:
+        assert slices == ([list(range(len(methods)))] if methods else [])
 
 
 def test_run_method_dispatches_every_method():
